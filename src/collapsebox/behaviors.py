@@ -54,7 +54,7 @@ def make_distribution(weights, atol: float = 1e-9) -> Distribution:
     if np.any(w < 0):
         raise NegativeWeight(f"negative weight in {w.tolist()}")
     s = float(w.sum())
-    if abs(s - 1.0) > atol:
+    if not abs(s - 1.0) <= atol:  # also rejects a NaN or infinite sum
         raise NotNormalized(f"weights sum to {s!r}, not 1 within {atol}")
     return Distribution(w)
 

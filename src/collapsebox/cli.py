@@ -325,17 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        scenario_path=args.scenario,
-        out_dir=args.out,
-        seed=args.seed,
-        n=args.n,
-        alpha=args.alpha,
-        grid=args.grid,
-        workers=default_workers(),
-    )
     try:
+        manifest = RunManifest(
+            command=args.command,
+            scenario_path=args.scenario,
+            out_dir=args.out,
+            seed=args.seed,
+            n=args.n,
+            alpha=args.alpha,
+            grid=args.grid,
+            workers=default_workers(),
+        )
         return COMMANDS[args.command](manifest)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,10 @@ _WILSON_Z = 1.959963984540054  # 95% two-sided
 # cells beyond this many exact-test terms fall back to the chi-square path
 _EXACT_ENUMERATION_LIMIT = 200_000
 
+# replicas per block: bounds the memory in use (about 115 B per window
+# replica) whatever the replica count; workers share the blocks
+_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -79,14 +83,9 @@ def replica_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
     return np.random.Generator(bg).random((hi - lo, 4))
 
 
-def _blocks(n: int, workers: int):
-    edges = np.linspace(0, n, workers + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-
-def _run_blocked(cfg: SimConfig, block_fn, n_out: int) -> EmpiricalDist:
+def _run_blocked(cfg: SimConfig, block_fn) -> EmpiricalDist:
     workers = cfg.workers
-    blocks = _blocks(cfg.n, workers)
+    blocks = [(lo, min(lo + _BLOCK, cfg.n)) for lo in range(0, cfg.n, _BLOCK)]
     if workers == 1 or len(blocks) == 1:
         parts = [block_fn(lo, hi) for lo, hi in blocks]
     else:
@@ -110,10 +109,29 @@ def _sample_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def default_workers() -> int:
-    env = os.environ.get("COLLAPSE_BOX_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    """Worker count from COLLAPSE_BOX_THREADS, clamped to [1, os.cpu_count()]."""
+    env = os.environ.get("COLLAPSE_BOX_THREADS") or "1"
+    try:
+        return min(max(1, int(env)), os.cpu_count() or 1)
+    except ValueError:
+        raise InvalidSpec(f"COLLAPSE_BOX_THREADS must be an integer, got {env!r}") from None
+
+
+def _simulate_at(f: CollapseFamily, p0: Distribution, elapsed: float,
+                 cfg: SimConfig) -> EmpiricalDist:
+    """Outputs probed `elapsed` after the trigger: uniform 0 draws the
+    latent from p0, uniform 1 the output from its row of the family."""
+    n = p0.size
+    cum_p0 = np.cumsum(p0.weights)
+    rows_cum = np.cumsum(f.profile(float(elapsed)), axis=1)
+
+    def block(lo, hi):
+        u = replica_uniforms(cfg.seed, lo, hi)
+        c = rows_cum[_sample_discrete(cum_p0, u[:, 0])]
+        out = np.minimum((u[:, 1, None] > c).sum(axis=1), n - 1)
+        return np.bincount(out, minlength=n)
+
+    return _run_blocked(cfg, block)
 
 
 def simulate_single(f: CollapseFamily, p0: Distribution, probe_elapsed: float,
@@ -121,44 +139,24 @@ def simulate_single(f: CollapseFamily, p0: Distribution, probe_elapsed: float,
     """Single box: trigger at 0, probe at `probe_elapsed`."""
     if probe_elapsed < 0:
         raise InvalidSpec("probe time must be >= 0")
-    n = p0.size
-    cum_p0 = np.cumsum(p0.weights)
-    rows_cum = np.cumsum(f.profile(float(probe_elapsed)), axis=1)
-
-    def block(lo, hi):
-        u = replica_uniforms(cfg.seed, lo, hi)
-        latent = _sample_discrete(cum_p0, u[:, 0])
-        c = rows_cum[latent]
-        out = np.minimum((u[:, 1, None] > c).sum(axis=1), n - 1)
-        return np.bincount(out, minlength=n)
-
-    return _run_blocked(cfg, block, n)
+    return _simulate_at(f, p0, probe_elapsed, cfg)
 
 
 def simulate_twobox(s: TwoBoxScenario, sched: Schedule,
                     cfg: SimConfig) -> EmpiricalDist:
     """Fixed-schedule correlated pair; aggregates Bob's outputs."""
+    if sched.x == 1:
+        return _simulate_at(s.family, s.p0, sched.t_b - sched.t_a, cfg)
+    # Alice's input is non-triggering; Bob's own probe triggers the
+    # collapse and his output is the fresh latent.
     n = s.p0.size
     cum_p0 = np.cumsum(s.p0.weights)
-    if sched.x == 1:
-        elapsed = sched.t_b - sched.t_a
-        rows_cum = np.cumsum(s.family.profile(float(elapsed)), axis=1)
 
-        def block(lo, hi):
-            u = replica_uniforms(cfg.seed, lo, hi)
-            latent = _sample_discrete(cum_p0, u[:, 0])
-            c = rows_cum[latent]
-            out = np.minimum((u[:, 1, None] > c).sum(axis=1), n - 1)
-            return np.bincount(out, minlength=n)
-    else:
-        # Alice's input is non-triggering; Bob's own probe triggers the
-        # collapse and his output is the fresh latent.
-        def block(lo, hi):
-            u = replica_uniforms(cfg.seed, lo, hi)
-            out = _sample_discrete(cum_p0, u[:, 0])
-            return np.bincount(out, minlength=n)
+    def block(lo, hi):
+        u = replica_uniforms(cfg.seed, lo, hi)
+        return np.bincount(_sample_discrete(cum_p0, u[:, 0]), minlength=n)
 
-    return _run_blocked(cfg, block, n)
+    return _run_blocked(cfg, block)
 
 
 def simulate_window(s: TwoBoxScenario, w: WindowSpec,
@@ -187,7 +185,7 @@ def simulate_window(s: TwoBoxScenario, w: WindowSpec,
             out[alice_first] = _sample_rows(rows, u[alice_first, 3])
         return np.bincount(out, minlength=n)
 
-    return _run_blocked(cfg, block, n)
+    return _run_blocked(cfg, block)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MaxDepthExceeded
 
 
@@ -25,7 +27,8 @@ def integrate(fn, a: float, b: float, tol: float = 1e-9,
 
     Interval bisection continues until the local Richardson error
     estimate is below the locally allotted tolerance. Breakpoints inside
-    (a, b) split the interval before adaptation starts.
+    (a, b) split the interval before adaptation starts. A vector-valued
+    fn gives a vector value and a max-norm error estimate.
     """
     if a > b:
         r = integrate(fn, b, a, tol, breakpoints, max_depth)
@@ -74,10 +77,11 @@ def _adaptive_piece(fn, a, b, tol, max_depth):
         s_right = _simpson(f1, frm, f2, b0 - m)
         s2 = s_left + s_right
         e = (s2 - s0) / 15.0
-        if abs(e) <= t0 or depth >= max_depth:
+        e_norm = float(np.max(np.abs(e)))
+        if e_norm <= t0 or depth >= max_depth:
             total += s2 + e  # Richardson extrapolation
-            err += abs(e)
-            if depth >= max_depth and abs(e) > t0:
+            err += e_norm
+            if depth >= max_depth and e_norm > t0:
                 depth_hit = True
         else:
             stack.append((a0, m, f0, flm, f1, s_left, t0 / 2.0, depth + 1))

@@ -1,8 +1,25 @@
 """Analytic evaluators for the timed one- and two-box experiment layouts.
 
 Covers the fixed-schedule correlated pair (Bob's marginal under Alice's
-two choices), the timing statistics Theta and Omega of the randomized
-window experiment, and the window-averaged marginal formula.
+two choices) and the randomized window experiment.
+
+The window layer is built on the density h of D = t_B - t_A at u >= 0,
+for i.i.d. input times with density g. D and -D have the same law, so h
+has mass 1/2 and Theta = P(|D| <= dt_min) is twice Omega = P(0 <= D <= dt_min).
+If Bob acts first (D < 0), his input triggers the collapse and he reads
+the latent, whose law is P0. If D = u >= 0, he reads P0 . f(u), which is
+P0 again once u >= dt_a for every latent a. The exact marginal is thus
+
+    P0 + integral over [0, min(dt_max, W)] of (P0 . f(u) - P0) h(u) du.
+
+With Theta = 2 Omega, the paper's two-term formula
+(1 - Theta) P0 + (Theta / Omega) integral over [0, dt_min] of P0 . f h is
+
+    P0 + 2 integral over [0, min(dt_min, W)] of (P0 . f(u) - P0) h(u) du.
+
+Its factor 2 counts the Bob-first pairs as mid-collapse, and its range
+stops at dt_min although latents with longer collapse times still drift:
+it differs from the exact marginal whenever dt_min < dt_max.
 
 Times are elapsed seconds from the window start (the agreed instant tau);
 input-time densities live on [0, dt_window].
@@ -25,9 +42,10 @@ from .errors import (
     NotNormalized,
     QuadratureFailure,
 )
-from .quadrature import integrate, integrate2
+from .quadrature import integrate
 
 _INVERSE_CDF_GRID = 4097  # resolution for tabulated-density inverse sampling
+_TOL = 1e-9  # absolute tolerance of every window-layer integral
 
 
 @dataclass(frozen=True)
@@ -47,21 +65,21 @@ class TimeDensity:
     _inv_t: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise InvalidSpec("window width must be positive")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise InvalidSpec("window width must be finite and positive")
         if self.kind == "uniform":
             pass
         elif self.kind == "truncexp":
-            if self.rate is None or self.rate <= 0:
-                raise InvalidSpec("truncexp needs a positive rate")
+            if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
+                raise InvalidSpec("truncexp needs a finite positive rate")
         elif self.kind == "table":
             t = np.asarray(self.grid_times, dtype=float)
             v = np.asarray(self.grid_values, dtype=float)
-            if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+            if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
                 raise InvalidSpec("density grid must be strictly increasing")
             if abs(t[0]) > 1e-12 or abs(t[-1] - self.width) > 1e-9:
                 raise InvalidSpec("density grid must span [0, width]")
-            if v.shape != t.shape or np.any(v < 0):
+            if v.shape != t.shape or not np.all(v >= 0):
                 raise InvalidSpec("density values must be non-negative, one per node")
             mass = float(np.trapezoid(v, t))
             if abs(mass - 1.0) > 1e-9:
@@ -102,8 +120,9 @@ class TimeDensity:
         return np.interp(u, self._inv_u, self._inv_t)
 
     def breakpoints(self):
+        """Kinks of g and of its difference density: every knot difference of a table."""
         if self.kind == "table":
-            return tuple(self.grid_times)
+            return tuple(np.unique(np.abs(np.subtract.outer(self.grid_times, self.grid_times))))
         return ()
 
 
@@ -115,7 +134,7 @@ class WindowSpec:
     g: TimeDensity
 
     def __post_init__(self):
-        if self.dt_window <= 0:
+        if not self.dt_window > 0:  # also rejects NaN
             raise InvalidSpec("window length must be positive")
         if abs(self.g.width - self.dt_window) > 1e-12:
             raise InvalidSpec("density width must equal the window length")
@@ -170,9 +189,10 @@ def bob_marginal(s: TwoBoxScenario, x: int, elapsed: float) -> Distribution:
     return marginal_at(s.family, s.p0, elapsed)
 
 
-def _wrap_quadrature(fn):
+def _integral(fn, hi: float, breakpoints) -> float:
+    """Integral of fn over [0, hi] to _TOL; a missed tolerance is a QuadratureFailure."""
     try:
-        return fn()
+        return integrate(fn, 0.0, hi, tol=_TOL, breakpoints=breakpoints).value
     except MaxDepthExceeded as exc:
         raise QuadratureFailure(
             f"requested tolerance not met: {exc} "
@@ -180,102 +200,81 @@ def _wrap_quadrature(fn):
         ) from exc
 
 
-def theta(w: WindowSpec, dt_min: float, tol: float = 1e-9) -> float:
-    """Probability that two independent g-draws fall within dt_min of each other."""
+def difference_density(w: WindowSpec, u) -> float:
+    """h(u) = integral of g(t) g(t + u) dt over [0, W - u], the density of D at u >= 0.
+
+    uniform: ``(W - u) / W^2``; truncexp (rate lam):
+    ``lam e^{-lam u} (1 - e^{-2 lam (W - u)}) / (2 N^2)`` with ``N = 1 - e^{-lam W}``;
+    table: g(t) g(t + u) is quadratic between the knots merged with the
+    knots shifted by -u, so Simpson's rule is exact on each piece.
+    """
+    width = w.dt_window
+    if u < 0 or u > width:
+        return 0.0
+    g = w.g
+    if g.kind == "uniform":
+        return (width - u) / width**2
+    if g.kind == "truncexp":
+        lam, norm = g.rate, 1.0 - math.exp(-g.rate * width)
+        return (lam * math.exp(-lam * u) * (1.0 - math.exp(-2.0 * lam * (width - u)))
+                / (2.0 * norm**2))
+    knots, values = g.grid_times, g.grid_values
+    t = np.unique(np.clip(np.concatenate([knots, knots - u]), 0.0, width - u))
+
+    def product(x):
+        # np.interp holds g(W) where x + u rounds past W; g.pdf would read 0
+        return np.interp(x, knots, values) * np.interp(x + u, knots, values)
+
+    return float(((t[1:] - t[:-1]) / 6.0 * (product(t[:-1]) + product(t[1:])
+                                            + 4.0 * product(0.5 * (t[:-1] + t[1:])))).sum())
+
+
+def omega(w: WindowSpec, dt_min: float) -> float:
+    """Omega = P(0 <= D <= dt_min), the integral of h over [0, min(dt_min, W)]."""
     if dt_min < 0:
         raise InvalidSpec("dt_min must be non-negative")
-    if dt_min == 0:
-        return 0.0
+    r = _integral(lambda u: difference_density(w, u), min(dt_min, w.dt_window),
+                  w.g.breakpoints())
+    return min(max(r, 0.0), 1.0)
+
+
+def theta(w: WindowSpec, dt_min: float) -> float:
+    """Theta = P(|D| <= dt_min) = 2 Omega: two g-draws within dt_min of each other."""
     if dt_min >= w.dt_window:
         return 1.0
-    g = w.g
-    bps = (dt_min, w.dt_window - dt_min) + g.breakpoints()
-
-    def run():
-        r = integrate2(
-            lambda ta, tb: g.pdf(ta) * g.pdf(tb),
-            0.0, w.dt_window,
-            lo=lambda ta: max(0.0, ta - dt_min),
-            hi=lambda ta: min(w.dt_window, ta + dt_min),
-            tol=tol, breakpoints_x=bps)
-        return min(max(r.value, 0.0), 1.0)
-
-    return _wrap_quadrature(run)
+    return min(2.0 * omega(w, dt_min), 1.0)
 
 
-def difference_density(w: WindowSpec, u, tol: float = 1e-9) -> float:
-    """Density of the signed difference D = t_B - t_A at u >= 0.
+def _window_mixture(s: TwoBoxScenario, w: WindowSpec, hi: float, weight: float) -> Distribution:
+    """``P0 + weight * integral over [0, hi] of (P0 . f(u) - P0) h(u) du``, one vector integral.
 
-    h(u) = integral of g(t) g(t + u) dt over the overlap of the window
-    with itself shifted by u.
+    Normalization beyond 1e-6 is an error, never silently repaired.
     """
-    g = w.g
-    if u < 0 or u > w.dt_window:
-        return 0.0
+    p0 = s.p0.weights
 
-    def run():
-        r = integrate(lambda t: g.pdf(t) * g.pdf(t + u), 0.0, w.dt_window - u,
-                      tol=tol, breakpoints=g.breakpoints())
-        return max(r.value, 0.0)
+    def drift(u):
+        return (p0 @ s.family.profile(u) - p0) * difference_density(w, u)
 
-    return _wrap_quadrature(run)
-
-
-def omega(w: WindowSpec, dt_min: float, tol: float = 1e-9) -> float:
-    """Mass of the non-negative time difference below dt_min.
-
-    Omega = integral over u in [0, dt_min] of the difference density; the
-    normalizer of the collapse-window term of the window-averaged marginal.
-    """
-    if dt_min < 0:
-        raise InvalidSpec("dt_min must be non-negative")
-    if dt_min == 0:
-        return 0.0
-    hi = min(dt_min, w.dt_window)
-
-    def run():
-        r = integrate(lambda u: difference_density(w, u, tol=tol / 10.0),
-                      0.0, hi, tol=tol)
-        return min(max(r.value, 0.0), 1.0)
-
-    return _wrap_quadrature(run)
-
-
-def window_marginal(s: TwoBoxScenario, w: WindowSpec, tol: float = 1e-9) -> Distribution:
-    """Window-averaged Bob marginal when Alice chooses the triggering input.
-
-    Evaluates the two-term mixture literally: with probability (1 - Theta)
-    the probes are farther apart than the shortest collapse time and Bob
-    sees the prior; otherwise the collapse-window term applies, weighted
-    by the difference density restricted to [0, dt_min] (the same density
-    whose mass is Omega). Normalization beyond 1e-6 is an error, never
-    silently repaired.
-    """
-    dt_min = s.family.dt_min
-    th = theta(w, dt_min, tol=tol)
-    if th == 0.0:
-        return s.p0
-    om = omega(w, dt_min, tol=tol)
-    n = s.p0.size
-    bps = tuple(float(d) for d in s.family.dt if 0.0 < d < dt_min) or ()
-
-    inner = np.empty((n, n))
-    for b in range(n):
-        for bp in range(n):
-            def fint(u, _b=b, _bp=bp):
-                row = s.family.rows(np.array([_b]), np.array([u]))[0, _bp]
-                return row * difference_density(w, u, tol=tol / 10.0)
-            r = _wrap_quadrature(lambda: integrate(fint, 0.0, dt_min, tol=tol,
-                                                   breakpoints=bps))
-            inner[b, bp] = r.value
-
-    out = (1.0 - th) * s.p0.weights + (th / om) * (s.p0.weights @ inner)
+    out = p0 + weight * _integral(drift, hi, tuple(s.family.dt) + w.g.breakpoints())
     mass = float(out.sum())
     if abs(mass - 1.0) > 1e-6:
-        raise FormulaInconsistency(
-            f"window-averaged marginal sums to {mass!r}; the two-term formula "
-            "is inconsistent for this scenario")
+        raise FormulaInconsistency(f"window-averaged marginal sums to {mass!r}, not 1")
     return make_distribution(out, atol=1e-6)
+
+
+def window_marginal(s: TwoBoxScenario, w: WindowSpec) -> Distribution:
+    """Exact window-averaged Bob marginal when Alice chooses the triggering input.
+
+    ``P0 + integral over [0, min(dt_max, W)] of (P0 . f(u) - P0) h(u) du``;
+    the module docstring derives it. `simulate_window` samples this value.
+    """
+    return _window_mixture(s, w, min(s.family.dt_max, w.dt_window), 1.0)
+
+
+def window_marginal_two_term(s: TwoBoxScenario, w: WindowSpec) -> Distribution:
+    """The paper's two-term window formula, which differs from `window_marginal`
+    whenever dt_min < dt_max (see the module docstring)."""
+    return _window_mixture(s, w, min(s.family.dt_min, w.dt_window), 2.0)
 
 
 # --- serialization (external interface) ---

@@ -41,6 +41,11 @@ class TestMakeDistribution:
         with pytest.raises(NotNormalized):
             make_distribution([0.3, 0.7, 0.1])  # sums to 1.1
 
+    @pytest.mark.parametrize("weights", [[float("nan"), 1.0], [float("inf"), 1.0]])
+    def test_non_finite(self, weights):
+        with pytest.raises(NotNormalized):
+            make_distribution(weights)
+
     def test_negative(self):
         with pytest.raises(NegativeWeight):
             make_distribution([1.2, -0.2])

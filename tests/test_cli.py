@@ -104,6 +104,14 @@ class TestSimulateCommand:
         text = capsys.readouterr().out
         assert "gof vs prior" in text and "reject" in text
 
+    def test_malformed_thread_count(self, tmp_path, monkeypatch, capsys):
+        scen = tmp_path / "s.json"
+        write_scenario(scen)
+        monkeypatch.setenv("COLLAPSE_BOX_THREADS", "abc")
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "InvalidSpec" in capsys.readouterr().err
+
     def test_zero_replicas(self, tmp_path):
         scen = tmp_path / "s.json"
         write_scenario(scen)

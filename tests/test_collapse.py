@@ -64,6 +64,17 @@ class TestMakeFamily:
         with pytest.raises(InvalidSpec):
             make_family(FamilySpec("wavelet", P0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_durations(self, bad):
+        for kind in ("linear", "frozen"):
+            with pytest.raises(InvalidSpec):
+                make_family(FamilySpec(kind, P0, dt=(0.5, bad)))
+        with pytest.raises(InvalidSpec):
+            make_family(FamilySpec("exponential", P0, rates=(2.0, bad)))
+        with pytest.raises(InvalidSpec):
+            make_family(FamilySpec("table", P0, grid_times=(0.0, bad),
+                                   grid_values=[[[0.3, 0.7]] * 2, [[1, 0], [0, 1]]]))
+
     def test_table_family(self):
         # hold-then-jump expressed as a grid: prior rows, then deltas
         times = [0.0, 0.5, 0.5 + 1e-9, 1.0]

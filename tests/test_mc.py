@@ -5,8 +5,10 @@ from collapsebox.behaviors import make_distribution
 from collapsebox.collapse import FamilySpec, make_family, marginal_at
 from collapsebox.errors import AlphabetMismatch, InvalidSpec
 from collapsebox.mc import (
+    _BLOCK,
     EmpiricalDist,
     SimConfig,
+    default_workers,
     gof_test,
     replica_uniforms,
     simulate_single,
@@ -45,6 +47,23 @@ class TestDeterminism:
         r1 = simulate_window(s, w, SimConfig(5_000, 3, workers=1))
         r8 = simulate_window(s, w, SimConfig(5_000, 3, workers=8))
         assert np.array_equal(r1.counts, r8.counts)
+
+    def test_worker_invariance_across_blocks(self):
+        # more replicas than one block: workers share several blocks
+        n = 2 * _BLOCK + 1_001
+        w = WindowSpec(1.0, TimeDensity("uniform", 1.0))
+        s = asym_scenario()
+        ref = simulate_window(s, w, SimConfig(n, 13, workers=1))
+        alt = simulate_window(s, w, SimConfig(n, 13, workers=2))
+        assert ref.counts.sum() == n
+        assert np.array_equal(ref.counts, alt.counts)
+
+    def test_worker_count_clamped_to_cpus(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.setenv("COLLAPSE_BOX_THREADS", "1000000")
+        assert default_workers() == 3
+        monkeypatch.setenv("COLLAPSE_BOX_THREADS", "-4")
+        assert default_workers() == 1
 
     def test_single_replica_reproducible(self):
         fam = inst_scenario().family

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsebox.behaviors import make_distribution, tv_distance
 from collapsebox.collapse import FamilySpec, make_family
@@ -23,6 +25,7 @@ from collapsebox.scenarios import (
     theta,
     window_from_dict,
     window_marginal,
+    window_marginal_two_term,
     window_to_dict,
 )
 
@@ -43,6 +46,14 @@ def table_window(width=1.0):
     v = np.minimum(t, width - t)
     v = v / np.trapezoid(v, t)
     return WindowSpec(width, TimeDensity("table", width, grid_times=t, grid_values=v))
+
+
+def five_knot_window():
+    # uneven knots: h has kinks at all ten distinct knot differences
+    t = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+    v = np.array([0.4, 1.4, 0.8, 1.5, 0.6])
+    return WindowSpec(1.0, TimeDensity("table", 1.0, grid_times=t,
+                                       grid_values=v / np.trapezoid(v, t)))
 
 
 def scenario(kind="frozen", dt=(0.0, 1.0), rates=None):
@@ -74,6 +85,21 @@ class TestTimeDensity:
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
             TimeDensity("gaussian", 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_inputs(self, bad):
+        # a NaN width would reach the quadrature, which never meets its
+        # tolerance on NaN values
+        with pytest.raises(InvalidSpec):
+            TimeDensity("uniform", bad)
+        with pytest.raises(InvalidSpec):
+            TimeDensity("truncexp", 1.0, rate=bad)
+        with pytest.raises(InvalidSpec):
+            TimeDensity("table", 1.0, grid_times=[0.0, bad, 1.0], grid_values=[1.0, 1.0, 1.0])
+        with pytest.raises((InvalidSpec, NotNormalized)):
+            TimeDensity("table", 1.0, grid_times=[0.0, 0.5, 1.0], grid_values=[1.0, bad, 1.0])
+        with pytest.raises(InvalidSpec):
+            WindowSpec(bad, TimeDensity("uniform", 1.0))
 
 
 class TestBobMarginal:
@@ -153,7 +179,8 @@ class TestOmega:
     def test_uniform_hand_value(self):
         assert omega(uniform_window(), 0.5) == pytest.approx(0.375, abs=1e-6)
 
-    @pytest.mark.parametrize("make_w", [uniform_window, truncexp_window])
+    @pytest.mark.parametrize("make_w", [uniform_window, truncexp_window,
+                                        table_window, five_knot_window])
     def test_against_pair_sampling_oracle(self, make_w):
         w = make_w()
         n = 200_000
@@ -169,7 +196,8 @@ class TestOmega:
 
     def test_difference_density_integrates_to_half(self):
         from collapsebox.quadrature import integrate
-        for w in (uniform_window(), truncexp_window()):
+        for w in (uniform_window(), truncexp_window(), table_window(),
+                  five_knot_window()):
             r = integrate(lambda u: difference_density(w, u), 0.0, w.dt_window,
                           tol=1e-8)
             assert r.value == pytest.approx(0.5, abs=1e-6)
@@ -184,9 +212,38 @@ class TestWindowMarginal:
         assert np.abs(m.weights - P0.weights).max() <= 1e-9
 
     def test_zero_dt_min_gives_prior(self):
+        # the paper's formula: no mass of h lies below dt_min = 0
         s = scenario("frozen", dt=(0.0, 1.0))  # shortest collapse time is 0
-        m = window_marginal(s, uniform_window())
+        m = window_marginal_two_term(s, uniform_window())
         assert np.array_equal(m.weights, P0.weights)
+
+    def test_exact_frozen_hand_value(self):
+        # Alice first (mass 1/2): latent 0 is a delta, latent 1 still reads
+        # P0, so Bob sees (0.51, 0.49); Bob first: P0
+        s = scenario("frozen", dt=(0.0, 1.0))
+        m = window_marginal(s, uniform_window())
+        assert np.abs(m.weights - [0.405, 0.595]).max() <= 1e-12
+
+    def test_five_knot_table_against_pair_sampling(self):
+        # input times by rejection sampling, not the library's inverse CDF
+        w = five_knot_window()
+        s = scenario("linear", dt=(0.3, 0.8))
+        n = 400_000
+        rng = np.random.default_rng(47)
+        top = w.g.grid_values.max()
+        times = []
+        while sum(t.size for t in times) < 2 * n:
+            t = rng.random(4 * n)
+            times.append(t[rng.random(4 * n) * top <= w.g.pdf(t)])
+        t_a, t_b = np.concatenate(times)[:2 * n].reshape(2, n)
+        latent = (rng.random(n) > P0[0]).astype(int)
+        fresh = (rng.random(n) > P0[0]).astype(int)
+        gap = t_b - t_a
+        weight = np.clip(np.maximum(gap, 0.0) / np.array([0.3, 0.8])[latent], 0, 1)
+        collapsed = (gap < 0) | (rng.random(n) < weight)
+        freq1 = np.where(collapsed, latent, fresh).mean()
+        ana = window_marginal(s, w).weights[1]
+        assert abs(freq1 - ana) <= 4 * np.sqrt(ana * (1 - ana) / n)
 
     def test_finite_dt_valid_distribution(self):
         s = scenario("linear", dt=(0.25, 1.0))
@@ -199,6 +256,32 @@ class TestWindowMarginal:
         s = scenario("linear", dt=(1.0, 1.0))
         m = window_marginal(s, uniform_window())
         assert np.abs(m.weights - P0.weights).max() <= 1e-7
+
+
+windows = st.one_of(
+    st.floats(0.5, 3.0).map(uniform_window),
+    st.tuples(st.floats(0.5, 3.0), st.floats(0.1, 4.0)).map(
+        lambda wr: truncexp_window(*wr)),
+    st.floats(0.5, 3.0).map(table_window),
+)
+
+
+class TestWindowProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(w=windows, frac=st.floats(0.0, 1.2))
+    def test_theta_is_twice_omega(self, w, frac):
+        d = frac * w.dt_window
+        # exact below the window length; beyond it theta is 1 and omega is
+        # the whole mass 1/2 of h, to the quadrature tolerance
+        assert theta(w, d) == pytest.approx(2.0 * omega(w, d), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=windows, kind=st.sampled_from(["linear", "frozen"]),
+           dt=st.floats(0.0, 4.0), first=st.floats(0.05, 0.95))
+    def test_equal_collapse_times_give_prior(self, w, kind, dt, first):
+        p0 = make_distribution([first, 1.0 - first])
+        s = TwoBoxScenario(p0, make_family(FamilySpec(kind, p0, dt=(dt, dt))))
+        assert np.abs(window_marginal(s, w).weights - p0.weights).max() <= 1e-12
 
 
 class TestScheduleAndSerialization:
