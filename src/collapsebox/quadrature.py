@@ -16,7 +16,7 @@ from .errors import MaxDepthExceeded
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    value: float
+    value: float | np.ndarray  # an array for a vector-valued integrand
     error_estimate: float
     evaluations: int
 
