@@ -13,13 +13,14 @@ collapse-family row at the probe's elapsed time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, gammaln, xlogy
 
 from .behaviors import Distribution
 from .collapse import CollapseFamily
@@ -30,6 +31,9 @@ _WILSON_Z = 1.959963984540054  # 95% two-sided
 
 # cells beyond this many exact-test terms fall back to the chi-square path
 _EXACT_ENUMERATION_LIMIT = 200_000
+
+# compositions the exact test scores at once: bounds its arrays to 2^13 x k
+_EXACT_BLOCK = 1 << 13
 
 # replicas per block: bounds the memory in use (about 115 B per window
 # replica) whatever the replica count; workers share the blocks
@@ -208,7 +212,8 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
         raise AlphabetMismatch(
             f"alphabet sizes differ: {e.counts.size} vs {p.size}")
     expected = e.n * p.weights
-    if np.all(expected >= 5):
+    if (np.all(expected >= 5)
+            or math.comb(e.n + p.size - 1, p.size - 1) > _EXACT_ENUMERATION_LIMIT):
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(expected > 0,
                              (e.counts - expected) ** 2 / expected, 0.0)
@@ -216,36 +221,37 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
         if np.any((expected == 0) & (e.counts > 0)):
             return GofReport(math.inf, 0.0, True, "chi2")
         stat = float(terms.sum())
-        pval = float(stats.chi2.sf(stat, df=p.size - 1))
+        # scipy.stats.chi2.sf(stat, df), which is NaN for df = 0
+        pval = float(chdtrc(p.size - 1, stat)) if p.size > 1 else math.nan
         return GofReport(stat, pval, pval < alpha, "chi2")
     return _exact_multinomial(e, p, alpha)
 
 
 def _exact_multinomial(e: EmpiricalDist, p: Distribution, alpha: float) -> GofReport:
     n, k = e.n, p.size
-    n_terms = math.comb(n + k - 1, k - 1)
-    if n_terms > _EXACT_ENUMERATION_LIMIT:
-        stat = float((((e.counts - e.n * p.weights) ** 2)
-                      / np.maximum(e.n * p.weights, 1e-300)).sum())
-        pval = float(stats.chi2.sf(stat, df=k - 1))
-        return GofReport(stat, pval, pval < alpha, "chi2")
-    obs_p = float(stats.multinomial.pmf(e.counts, n, p.weights))
+    obs_p = float(_multinomial_pmf(e.counts, n, p.weights))
     pval = 0.0
     for c in _compositions(n, k):
-        q = float(stats.multinomial.pmf(c, n, p.weights))
-        if q <= obs_p + 1e-15:
-            pval += q
+        q = _multinomial_pmf(c, n, p.weights)
+        # summed one term at a time in composition order, so that the
+        # p-value does not depend on the block size
+        pval = float(np.cumsum(np.append(pval, q[q <= obs_p + 1e-15]))[-1])
     pval = min(pval, 1.0)
     return GofReport(None, pval, pval < alpha, "exact")
 
 
+def _multinomial_pmf(x, n, p):
+    """Multinomial pmf of the counts on x's last axis, by scipy.stats' formula."""
+    return np.exp(gammaln(n + 1) + np.sum(xlogy(x, p) - gammaln(x + 1), axis=-1))
+
+
 def _compositions(n, k):
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, k - 1):
-            yield (head,) + tail
+    """Compositions of n into k parts in lexicographic order, _EXACT_BLOCK
+    rows at a time, from their nondecreasing partial sums."""
+    sums = itertools.combinations_with_replacement(range(n + 1), k - 1)
+    while rows := list(itertools.islice(sums, _EXACT_BLOCK)):
+        s = np.array(rows, dtype=np.int64).reshape(len(rows), k - 1)
+        yield np.diff(s, axis=1, prepend=0, append=n)
 
 
 def empirical_rows(e: EmpiricalDist):

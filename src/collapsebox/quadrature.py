@@ -7,11 +7,12 @@ Simpson's rule at its nominal convergence order on each smooth piece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxDepthExceeded
+from .errors import MaxDepthExceeded, QuadratureFailure
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ def _adaptive_piece(fn, a, b, tol, max_depth):
         s2 = s_left + s_right
         e = (s2 - s0) / 15.0
         e_norm = float(np.max(np.abs(e)))
+        if not math.isfinite(e_norm):  # a NaN or inf value reaches e at once
+            raise QuadratureFailure(f"integrand not finite on [{a0!r}, {b0!r}]")
         if e_norm <= t0 or depth >= max_depth:
             total += s2 + e  # Richardson extrapolation
             err += e_norm

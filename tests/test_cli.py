@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import collapsebox
 from collapsebox.cli import main, parse_sweep_grid, parse_time_grid, scenario_hash
 
 
@@ -196,3 +200,25 @@ class TestParsers:
         a = scenario_hash({"b": 1, "a": [1, 2]})
         b = scenario_hash({"a": [1, 2], "b": 1})
         assert a == b and len(a) == 12
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # the GOF test needs only scipy.special; linprog is imported by is_local
+    code = (
+        "import json, sys\n"
+        "import collapsebox, collapsebox.cli\n"
+        "from collapsebox.behaviors import is_local, uniform_box\n"
+        "heavy = ('scipy.stats', 'scipy.optimize')\n"
+        "before = [m for m in heavy if m in sys.modules]\n"
+        "rep = is_local(uniform_box())\n"
+        "print(json.dumps([before, rep.member, float(rep.weights.sum()),\n"
+        "                  'scipy.optimize' in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(collapsebox.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    before, member, weight, loaded = json.loads(out)
+    assert before == []
+    assert member and weight == pytest.approx(1.0, abs=1e-9)
+    assert loaded

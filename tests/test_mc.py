@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,9 @@ from collapsebox.collapse import FamilySpec, make_family, marginal_at
 from collapsebox.errors import AlphabetMismatch, InvalidSpec
 from collapsebox.mc import (
     _BLOCK,
+    _EXACT_BLOCK,
+    _compositions,
+    _exact_multinomial,
     EmpiricalDist,
     SimConfig,
     default_workers,
@@ -201,3 +207,95 @@ class TestGofTest:
         with pytest.raises(AlphabetMismatch):
             gof_test(EmpiricalDist(np.array([5, 5]), 10),
                      make_distribution([0.2, 0.3, 0.5]))
+
+
+def lex_compositions(n, k):
+    """Compositions of n into k parts in lexicographic order, one at a time."""
+    if k == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for tail in lex_compositions(n - head, k - 1):
+            yield (head,) + tail
+
+
+def scipy_exact_pvalue(counts, p, per_composition=True):
+    """The exact test as a sum over scipy.stats.multinomial.pmf, term by term
+    in composition order; per_composition=False scores all rows in one call."""
+    from scipy import stats
+    n = int(counts.sum())
+    obs = float(stats.multinomial.pmf(counts, n, p))
+    comps = np.array(list(lex_compositions(n, counts.size)))
+    qs = ([float(stats.multinomial.pmf(c, n, p)) for c in comps]
+          if per_composition else stats.multinomial.pmf(comps, n, p).tolist())
+    pval = 0.0
+    for q in qs:
+        if q <= obs + 1e-15:
+            pval += q
+    return min(pval, 1.0)
+
+
+class TestGofOracle:
+    """Both GOF paths give scipy.stats' p-values to the last bit."""
+
+    def check(self, counts, weights, per_composition=True):
+        # scipy.stats.multinomial may replace the last weight by one minus
+        # the others (older versions always do): make that a no-op
+        p = np.array(weights, dtype=float)
+        p[-1] = 1.0 - p[:-1].sum()
+        counts = np.asarray(counts)
+        rep = _exact_multinomial(EmpiricalDist(counts, int(counts.sum())),
+                                 make_distribution(p), 0.01)
+        assert rep.method == "exact"
+        assert rep.pvalue == scipy_exact_pvalue(counts, p, per_composition)
+
+    def test_random_exact_cases(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            k = int(rng.integers(1, 6))
+            n = int(rng.integers(0, 31 if k <= 3 else 13))
+            p = rng.dirichlet(np.ones(k))
+            self.check(rng.multinomial(n, p), p)
+
+    def test_ties(self):
+        # permutations of a composition are equally likely under a uniform
+        # p, but their pmf values can differ in the last bit; the first two
+        # cases lose mass without the 1e-15 tie slack
+        for counts, p in (([1, 2, 1, 1], [0.25] * 4), ([0, 3, 1, 2], [0.25] * 4),
+                          ([5, 5], [0.5, 0.5]), ([4, 0, 4], [0.4, 0.2, 0.4])):
+            self.check(counts, p)
+
+    def test_largest_case(self):
+        # k = 5, n = 40: C(44, 4) = 135,751 compositions, many blocks
+        assert math.comb(44, 4) > 16 * _EXACT_BLOCK
+        self.check([24, 6, 5, 2, 3], [0.5, 0.2, 0.15, 0.1, 0.05], False)
+
+    def test_block_boundary(self):
+        n, k = 40, 4  # C(43, 3) = 12,341 compositions: one full block and a part
+        assert _EXACT_BLOCK < math.comb(n + k - 1, k - 1) < 2 * _EXACT_BLOCK
+        blocks = list(_compositions(n, k))
+        assert [len(b) for b in blocks] == [
+            _EXACT_BLOCK, math.comb(n + k - 1, k - 1) - _EXACT_BLOCK]
+        assert np.array_equal(np.vstack(blocks),
+                              np.array(list(lex_compositions(n, k))))
+        self.check([20, 12, 8, 0], [0.55, 0.25, 0.15, 0.05], False)
+
+    def test_chi2_matches_scipy(self):
+        from scipy import stats
+        rng = np.random.default_rng(5)
+        for k in range(2, 9):
+            p = rng.dirichlet(np.ones(k) * 5)
+            e = EmpiricalDist(rng.multinomial(5_000, p), 5_000)
+            rep = gof_test(e, make_distribution(p))
+            assert rep.method == "chi2"
+            assert rep.pvalue == float(stats.chi2.sf(rep.statistic, df=k - 1))
+        # too many compositions to enumerate: chi-square despite small cells
+        e = EmpiricalDist(np.array([30, 20, 6, 3, 1]), 60)  # C(64, 4) terms
+        rep = gof_test(e, make_distribution([0.5, 0.3, 0.1, 0.05, 0.05]))
+        assert rep.method == "chi2"
+        assert rep.pvalue == float(stats.chi2.sf(rep.statistic, df=4))
+        # one outcome: no degree of freedom, and a rounding-size statistic
+        rep = gof_test(EmpiricalDist(np.array([50]), 50),
+                       make_distribution([1.0 - 1e-12]))
+        assert rep.statistic > 0
+        assert math.isnan(rep.pvalue) and math.isnan(stats.chi2.sf(rep.statistic, 0))

@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from collapsebox.errors import MaxDepthExceeded
+from collapsebox.errors import MaxDepthExceeded, QuadratureFailure
 from collapsebox.quadrature import integrate, integrate2
 
 
@@ -90,6 +91,25 @@ class TestIntegrate:
                 errs.append(abs(r.value - exact))
             for a, b in zip(errs, errs[1:]):
                 assert b <= a + 1e-13
+
+
+class TestNonFinite:
+    # without the guard a NaN piece is never accepted and bisects to depth 48
+    @pytest.mark.parametrize("fn", [
+        lambda t: math.nan,
+        lambda t: math.inf,
+        lambda t: -math.inf if t > 0.3 else t,
+        lambda t: math.nan if 0.4 < t < 0.5 else 1.0,  # not at a piece end
+        lambda t: np.array([t, math.nan]),
+        lambda t: np.array([1.0, math.inf]),
+        lambda t: np.array([t, math.nan if 0.4 < t < 0.5 else 1.0]),
+    ], ids=["nan", "inf", "-inf-part", "nan-inside", "vector-nan",
+            "vector-inf", "vector-nan-inside"])
+    def test_fails_fast(self, fn):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureFailure), np.errstate(invalid="ignore"):
+            integrate(fn, 0.0, 1.0, breakpoints=(0.6,))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestIntegrate2:
