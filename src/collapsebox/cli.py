@@ -171,10 +171,10 @@ def cmd_witness(manifest: RunManifest) -> int:
                 r.pvalue, r.verdict) for r in reports])
 
     best = max(reports, key=lambda r: r.tv_analytic)
-    cap = channel_capacity(induced_channel(s, best.elapsed), tol=1e-9)
+    cap = channel_capacity(induced_channel(s, best.elapsed))
     verdict = "signaling" if any(r.signaling for r in reports) else "non-signaling"
     print(f"max TV {best.tv_analytic:.3e} at s={best.elapsed:.6g}, "
-          f"capacity {cap:.6f} bits, verdict: {verdict}")
+          f"capacity {cap:.12g} bits, verdict: {verdict}")
     print(f"wrote {out}")
     return 0
 

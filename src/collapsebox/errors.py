@@ -85,9 +85,3 @@ class MaxDepthExceeded(CollapseBoxError):
         self.value = value
         self.error_estimate = error_estimate
         self.evaluations = evaluations
-
-
-# --- signaling ---
-
-class NonConvergence(CollapseBoxError):
-    pass

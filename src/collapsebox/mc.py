@@ -29,8 +29,9 @@ from .scenarios import Schedule, TwoBoxScenario, WindowSpec
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 
-# cells beyond this many exact-test terms fall back to the chi-square path
-_EXACT_ENUMERATION_LIMIT = 200_000
+# the exact test falls back to chi-square beyond this many cells
+# (compositions x outcomes), which its enumeration cost tracks
+_EXACT_CELL_LIMIT = 1_000_000
 
 # compositions the exact test scores at once: bounds its arrays to 2^13 x k
 _EXACT_BLOCK = 1 << 13
@@ -213,7 +214,7 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
             f"alphabet sizes differ: {e.counts.size} vs {p.size}")
     expected = e.n * p.weights
     if (np.all(expected >= 5)
-            or math.comb(e.n + p.size - 1, p.size - 1) > _EXACT_ENUMERATION_LIMIT):
+            or p.size * math.comb(e.n + p.size - 1, p.size - 1) > _EXACT_CELL_LIMIT):
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(expected > 0,
                              (e.counts - expected) ** 2 / expected, 0.0)

@@ -97,7 +97,7 @@ def test_criterion_2_finite_dt_signals():
     assert abs(rep.tv_empirical - 0.21) <= 4 * se
     assert rep.signaling
 
-    cap = channel_capacity(induced_channel(s, 0.5), tol=1e-9)
+    cap = channel_capacity(induced_channel(s, 0.5))
     assert cap > 0
     # independent grid-search oracle over the one-parameter prior
     rows_c = np.vstack([P0.weights, oracle])

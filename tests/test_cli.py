@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,34 @@ class TestWitnessCommand:
         rc = main(["witness", "--scenario", str(scen), "--out", str(tmp_path),
                    "--grid", " "])
         assert rc == 1
+
+    def test_weak_signal_capacity(self, tmp_path, capsys):
+        # max TV 0.004: a channel of about 1e-5 bits, which must still be
+        # computed, not given up on
+        from scipy.optimize import minimize_scalar
+
+        scen = tmp_path / "s.json"
+        write_scenario(scen, family={"kind": "linear", "dt": [1.0, 1.02]})
+        rc = main(["witness", "--scenario", str(scen), "--out", str(tmp_path),
+                   "--n", "20000", "--seed", "1", "--grid", "0:1.02:21"])
+        assert rc == 0
+        m = re.search(r"at s=(\S+), capacity (\S+) bits", capsys.readouterr().out)
+        s, cap = float(m.group(1)), float(m.group(2))
+        assert s == pytest.approx(0.969, abs=1e-12)
+        # Bob's marginal after Alice's trigger: P0 + P0 * (w - <P0, w>)
+        p0 = np.array([0.3, 0.7])
+        w = np.minimum(s / np.array([1.0, 1.02]), 1.0)
+        rows = np.vstack([p0, p0 + p0 * (w - p0 @ w)])
+
+        def neg_info(r):
+            m = (1 - r) * rows[0] + r * rows[1]
+            return -((1 - r) * np.sum(rows[0] * np.log2(rows[0] / m))
+                     + r * np.sum(rows[1] * np.log2(rows[1] / m)))
+
+        best = minimize_scalar(neg_info, bounds=(0.0, 1.0), method="bounded",
+                               options={"xatol": 1e-12})
+        assert -best.fun > 1e-5
+        assert cap == pytest.approx(-best.fun, abs=1e-12)
 
 
 class TestSimulateCommand:

@@ -299,3 +299,18 @@ class TestGofOracle:
                        make_distribution([1.0 - 1e-12]))
         assert rep.statistic > 0
         assert math.isnan(rep.pvalue) and math.isnan(stats.chi2.sf(rep.statistic, 0))
+
+    def test_enumeration_limit_counts_cells(self):
+        # the exact test's cost tracks compositions x outcomes, so the limit
+        # counts cells: k = 100, n = 3 has 171,700 compositions but 17.2M cells
+        e = EmpiricalDist(np.array([2, 1] + [0] * 98), 3)
+        rep = gof_test(e, make_distribution(np.full(100, 0.01)))
+        assert rep.method == "chi2"
+        # 135,751 compositions x 5 outcomes = 678,755 cells: still exact
+        e = EmpiricalDist(np.array([24, 6, 5, 2, 3]), 40)
+        rep = gof_test(e, make_distribution([0.5, 0.2, 0.15, 0.1, 0.05]))
+        assert rep.method == "exact"
+        # the benchmark's skewed4 prior at 24 replicas: 2,925 x 4 cells
+        e = EmpiricalDist(np.array([17, 5, 2, 0]), 24)
+        rep = gof_test(e, make_distribution([0.7, 0.2, 0.07, 0.03]))
+        assert rep.method == "exact"
