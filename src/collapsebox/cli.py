@@ -108,10 +108,17 @@ def _meta(manifest: RunManifest, bundle: ScenarioBundle) -> dict:
 
 
 def parse_time_grid(spec: str | None, family: CollapseFamily):
-    """Time grids: 'a:b:n' linspace or a comma-separated list."""
+    """Time grids: 'a:b:n' linspace or a comma-separated list.
+
+    The default grid is 21 points over the collapse window merged with the
+    collapse times dt_a, where a linear or frozen family's TV peaks; a
+    point within rounding of some dt_a gives way to it.
+    """
     if spec is None:
         top = family.dt_max if family.dt_max > 0 else 1.0
-        return np.linspace(0.0, top, 21)
+        grid = np.linspace(0.0, top, 21)
+        apart = np.abs(grid[:, None] - family.dt).min(axis=1) > 1e-9 * top
+        return np.union1d(grid[apart], family.dt)
     spec = spec.strip()
     if not spec:
         raise EmptyGrid("empty time grid")

@@ -15,7 +15,7 @@ delta immediately after).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,9 @@ class CollapseFamily:
     rates: np.ndarray | None = None
     grid_times: np.ndarray | None = None
     grid_values: np.ndarray | None = None
-    _eye: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dt", np.asarray(self.dt, dtype=float))
-        object.__setattr__(self, "_eye", np.eye(self.size))
 
     @property
     def size(self) -> int:
@@ -94,7 +92,6 @@ class CollapseFamily:
         s = np.asarray(s, dtype=float)
         n = self.size
         p0 = self.p0.weights
-        delta = self._eye[latent]
         dt_l = self.dt[latent]
 
         if self.kind == "instantaneous":
@@ -124,7 +121,10 @@ class CollapseFamily:
         else:  # pragma: no cover - constructor guards kinds
             raise InvalidSpec(f"unknown kind {self.kind!r}")
 
-        return (1.0 - w)[:, None] * p0[None, :] + w[:, None] * delta
+        # (1 - w) P0 + w delta_latent, adding w only where the delta is 1
+        out = (1.0 - w)[:, None] * p0[None, :]
+        out[np.arange(latent.shape[0]), latent] += w
+        return out
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,12 @@ partitioned across workers.
 
 Operational semantics of a triggered collapse: draw the latent outcome
 from the prior, then draw the observed output from the latent outcome's
-collapse-family row at the probe's elapsed time.
+collapse-family row at the probe's elapsed time. One kernel does this
+for every experiment and uses each replica's uniforms the same way: u0
+draws the latent, u1 the output, and in the window experiment u2 and u3
+draw Alice's and Bob's input times. Earlier versions used another layout
+for the window, so window counts differ from theirs for the same seed;
+fixed-schedule counts do not.
 """
 
 from __future__ import annotations
@@ -88,31 +93,6 @@ def replica_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
     return np.random.Generator(bg).random((hi - lo, 4))
 
 
-def _run_blocked(cfg: SimConfig, block_fn) -> EmpiricalDist:
-    workers = cfg.workers
-    blocks = [(lo, min(lo + _BLOCK, cfg.n)) for lo in range(0, cfg.n, _BLOCK)]
-    if workers == 1 or len(blocks) == 1:
-        parts = [block_fn(lo, hi) for lo, hi in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda be: block_fn(*be), blocks))
-    counts = np.sum(parts, axis=0).astype(np.int64)
-    return EmpiricalDist(counts, cfg.n)
-
-
-def _sample_discrete(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-transform draws given cumulative weights (1D) and uniforms."""
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, cum.size - 1)
-
-
-def _sample_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-replica draw from per-replica probability rows."""
-    cum = np.cumsum(rows, axis=1)
-    idx = (u[:, None] > cum).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
-
-
 def default_workers() -> int:
     """Worker count from COLLAPSE_BOX_THREADS, clamped to [1, os.cpu_count()]."""
     env = os.environ.get("COLLAPSE_BOX_THREADS") or "1"
@@ -122,21 +102,30 @@ def default_workers() -> int:
         raise InvalidSpec(f"COLLAPSE_BOX_THREADS must be an integer, got {env!r}") from None
 
 
-def _simulate_at(f: CollapseFamily, p0: Distribution, elapsed: float,
-                 cfg: SimConfig) -> EmpiricalDist:
-    """Outputs probed `elapsed` after the trigger: uniform 0 draws the
-    latent from p0, uniform 1 the output from its row of the family."""
+def _simulate(p0: Distribution, cfg: SimConfig, cum_rows) -> EmpiricalDist:
+    """The sampling kernel behind every simulator.
+
+    Uniform 0 draws the latent from p0; uniform 1 draws the output from
+    the cumulative row `cum_rows(latent, u)` gives each replica. Both draws
+    take the first index whose cumulative weight exceeds the uniform.
+    Replicas run in blocks of _BLOCK, shared among the workers.
+    """
     n = p0.size
     cum_p0 = np.cumsum(p0.weights)
-    rows_cum = np.cumsum(f.profile(float(elapsed)), axis=1)
 
     def block(lo, hi):
         u = replica_uniforms(cfg.seed, lo, hi)
-        c = rows_cum[_sample_discrete(cum_p0, u[:, 0])]
-        out = np.minimum((u[:, 1, None] > c).sum(axis=1), n - 1)
+        latent = np.minimum(np.searchsorted(cum_p0, u[:, 0], side="right"), n - 1)
+        out = np.minimum((u[:, 1, None] >= cum_rows(latent, u)).sum(axis=1), n - 1)
         return np.bincount(out, minlength=n)
 
-    return _run_blocked(cfg, block)
+    bounds = [(lo, min(lo + _BLOCK, cfg.n)) for lo in range(0, cfg.n, _BLOCK)]
+    if cfg.workers == 1 or len(bounds) == 1:
+        parts = [block(lo, hi) for lo, hi in bounds]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(lambda b: block(*b), bounds))
+    return EmpiricalDist(np.sum(parts, axis=0).astype(np.int64), cfg.n)
 
 
 def simulate_single(f: CollapseFamily, p0: Distribution, probe_elapsed: float,
@@ -144,53 +133,38 @@ def simulate_single(f: CollapseFamily, p0: Distribution, probe_elapsed: float,
     """Single box: trigger at 0, probe at `probe_elapsed`."""
     if probe_elapsed < 0:
         raise InvalidSpec("probe time must be >= 0")
-    return _simulate_at(f, p0, probe_elapsed, cfg)
+    cum = np.cumsum(f.profile(float(probe_elapsed)), axis=1)
+    return _simulate(p0, cfg, lambda latent, u: cum[latent])
 
 
 def simulate_twobox(s: TwoBoxScenario, sched: Schedule,
                     cfg: SimConfig) -> EmpiricalDist:
-    """Fixed-schedule correlated pair; aggregates Bob's outputs."""
-    if sched.x == 1:
-        return _simulate_at(s.family, s.p0, sched.t_b - sched.t_a, cfg)
-    # Alice's input is non-triggering; Bob's own probe triggers the
-    # collapse and his output is the fresh latent.
-    n = s.p0.size
-    cum_p0 = np.cumsum(s.p0.weights)
+    """Fixed-schedule correlated pair; aggregates Bob's outputs.
 
-    def block(lo, hi):
-        u = replica_uniforms(cfg.seed, lo, hi)
-        return np.bincount(_sample_discrete(cum_p0, u[:, 0]), minlength=n)
-
-    return _run_blocked(cfg, block)
+    With x = 0 Alice's input triggers nothing. Bob's own probe collapses
+    the pair and he reads the latent: elapsed time inf, where every row
+    is a delta.
+    """
+    elapsed = sched.t_b - sched.t_a if sched.x == 1 else math.inf
+    return simulate_single(s.family, s.p0, elapsed, cfg)
 
 
 def simulate_window(s: TwoBoxScenario, w: WindowSpec,
                     cfg: SimConfig) -> EmpiricalDist:
     """Randomized-window experiment with Alice choosing the triggering input.
 
-    Both input times are drawn independently from the window density. The
-    earlier input triggers the collapse and fixes the shared latent
-    outcome; the later party's output is drawn from the collapse family at
-    the elapsed difference. If Bob acts first he triggers, and his output
-    is the latent itself.
+    Uniforms 2 and 3 draw the input times t_A and t_B independently from
+    the window density. If Alice acts first her input fixes the latent and
+    Bob reads its family row at t_B - t_A; if Bob acts first he triggers
+    and reads the latent itself (elapsed time inf).
     """
-    n = s.p0.size
-    cum_p0 = np.cumsum(s.p0.weights)
+    def cum_rows(latent, u):
+        t_a = w.g.sample(u[:, 2])
+        t_b = w.g.sample(u[:, 3])
+        elapsed = np.where(t_b >= t_a, t_b - t_a, math.inf)
+        return np.cumsum(s.family.rows(latent, elapsed), axis=1)
 
-    def block(lo, hi):
-        u = replica_uniforms(cfg.seed, lo, hi)
-        t_a = w.g.sample(u[:, 0])
-        t_b = w.g.sample(u[:, 1])
-        latent = _sample_discrete(cum_p0, u[:, 2])
-        out = latent.copy()  # Bob-first replicas emit the latent
-        alice_first = t_b >= t_a
-        if alice_first.any():
-            rows = s.family.rows(latent[alice_first],
-                                 t_b[alice_first] - t_a[alice_first])
-            out[alice_first] = _sample_rows(rows, u[alice_first, 3])
-        return np.bincount(out, minlength=n)
-
-    return _run_blocked(cfg, block)
+    return _simulate(s.p0, cfg, cum_rows)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ input-time densities live on [0, dt_window].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .quadrature import integrate
 
-_INVERSE_CDF_GRID = 4097  # resolution for tabulated-density inverse sampling
 _TOL = 1e-9  # absolute tolerance of every window-layer integral
 
 
@@ -61,8 +60,6 @@ class TimeDensity:
     rate: float | None = None
     grid_times: np.ndarray | None = None
     grid_values: np.ndarray | None = None
-    _inv_u: np.ndarray = field(default=None, repr=False)
-    _inv_t: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.width) and self.width > 0):
@@ -86,13 +83,6 @@ class TimeDensity:
                 raise NotNormalized(f"density integrates to {mass!r}, not 1")
             object.__setattr__(self, "grid_times", t)
             object.__setattr__(self, "grid_values", v)
-            fine = np.linspace(0.0, self.width, _INVERSE_CDF_GRID)
-            pdf = np.interp(fine, t, v)
-            cdf = np.concatenate([[0.0], np.cumsum(
-                0.5 * (pdf[1:] + pdf[:-1]) * np.diff(fine))])
-            cdf /= cdf[-1]
-            object.__setattr__(self, "_inv_u", cdf)
-            object.__setattr__(self, "_inv_t", fine)
         else:
             raise InvalidSpec(f"unknown density kind {self.kind!r}")
 
@@ -110,14 +100,30 @@ class TimeDensity:
         return out if out.ndim else float(out)
 
     def sample(self, u):
-        """Inverse-CDF transform of uniforms u in [0, 1)."""
+        """Inverse-CDF transform of uniforms u in [0, 1).
+
+        A table's CDF is quadratic on each piece: mass q past knot t_i
+        lies at x = 2q / (v_i + sqrt(v_i^2 + 2 s_i q)) beyond it, where v_i
+        is the density at t_i and s_i its slope. This form of the root is
+        exact for flat pieces (s_i = 0) and loses no digits to cancellation.
+        """
         u = np.asarray(u, dtype=float)
         if self.kind == "uniform":
             return u * self.width
         if self.kind == "truncexp":
             norm = 1.0 - np.exp(-self.rate * self.width)
             return -np.log1p(-u * norm) / self.rate
-        return np.interp(u, self._inv_u, self._inv_t)
+        t, v = self.grid_times, self.grid_values
+        widths = np.diff(t)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * widths)])
+        q = u * cdf[-1]
+        i = np.clip(np.searchsorted(cdf, q, side="right") - 1, 0, widths.size - 1)
+        q = q - cdf[i]
+        vi, slope = v[i], (v[i + 1] - v[i]) / widths[i]
+        root = vi + np.sqrt(np.maximum(vi * vi + 2.0 * slope * q, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(q > 0, 2.0 * q / root, 0.0)
+        return t[i] + np.clip(x, 0.0, widths[i])
 
     def breakpoints(self):
         """Kinks of g and of its difference density: every knot difference of a table."""

@@ -20,6 +20,9 @@ from .scenarios import Schedule, TwoBoxScenario, bob_marginal
 
 _HALVINGS = 80  # bisection steps: past float resolution on [0, 1]
 
+# analytic TV at or below this is quadrature or rounding residue, never a signal
+_DETECTION_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -59,31 +62,31 @@ def induced_channel(s: TwoBoxScenario, elapsed: float) -> InducedChannel:
 
 
 def witness(s: TwoBoxScenario, elapsed: float, cfg: SimConfig | None = None,
-            alpha: float = 0.01, tol: float = 1e-9) -> WitnessReport:
+            alpha: float = 0.01) -> WitnessReport:
     """Analytic signaling witness at one elapsed time, with MC corroboration.
 
-    The signaling verdict requires both an analytic TV above `tol` and an
-    empirical goodness-of-fit rejection, so neither quadrature residue nor
-    sampling noise alone can trigger a detection.
+    The signaling verdict requires both an analytic TV above
+    _DETECTION_FLOOR and an empirical goodness-of-fit rejection, so neither
+    quadrature residue nor sampling noise alone can trigger a detection.
     """
     p_off = bob_marginal(s, 0, elapsed)
     p_on = bob_marginal(s, 1, elapsed)
     tv_a = tv_distance(p_off, p_on)
     if cfg is None:
-        return WitnessReport(elapsed, tv_a, None, None, None, None, tv_a > tol)
+        return WitnessReport(elapsed, tv_a, None, None, None, None, tv_a > _DETECTION_FLOOR)
 
     sched = Schedule(t_a=0.0, t_b=float(elapsed), x=1)
     emp = simulate_twobox(s, sched, cfg)
     tv_e = 0.5 * float(np.abs(emp.freqs - p_off.weights).sum())
     half = 0.5 * float(emp.wilson_halfwidth().sum())  # conservative propagation
     gof = gof_test(emp, p_off, alpha=alpha)
-    signaling = (tv_a > tol) and gof.reject
+    signaling = (tv_a > _DETECTION_FLOOR) and gof.reject
     return WitnessReport(elapsed, tv_a, tv_e, max(tv_e - half, 0.0),
                          min(tv_e + half, 1.0), gof.pvalue, signaling)
 
 
 def witness_sweep(s: TwoBoxScenario, grid, cfg: SimConfig | None = None,
-                  alpha: float = 0.01, tol: float = 1e-9):
+                  alpha: float = 0.01):
     """One WitnessReport per grid point, in grid order."""
     grid = list(grid)
     if not grid:
@@ -94,7 +97,7 @@ def witness_sweep(s: TwoBoxScenario, grid, cfg: SimConfig | None = None,
         if cfg is not None:
             # decorrelate grid points while keeping the sweep reproducible
             point_cfg = SimConfig(cfg.n, cfg.seed + i, cfg.workers)
-        reports.append(witness(s, float(t), point_cfg, alpha=alpha, tol=tol))
+        reports.append(witness(s, float(t), point_cfg, alpha=alpha))
     return reports
 
 

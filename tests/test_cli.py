@@ -112,6 +112,18 @@ class TestWitnessCommand:
         assert -best.fun > 1e-5
         assert cap == pytest.approx(-best.fun, abs=1e-12)
 
+    def test_default_grid_holds_collapse_times(self, tmp_path, capsys):
+        # linspace(0, 1.02, 21) steps over dt_0 = 1.0, where the TV peaks
+        scen = tmp_path / "s.json"
+        write_scenario(scen, family={"kind": "linear", "dt": [1.0, 1.02]})
+        rc = main(["witness", "--scenario", str(scen), "--out", str(tmp_path),
+                   "--n", "2000", "--seed", "1"])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "max TV 4.118e-03 at s=1, capacity 1.45035781387e-05 bits" in text
+        rows = (tmp_path / "witness.csv").read_text().splitlines()[2:]
+        assert len(rows) == 22 and rows[20].startswith("1,")
+
 
 class TestSimulateCommand:
     def test_schedule_run(self, tmp_path, capsys):
@@ -218,6 +230,20 @@ class TestParsers:
     def test_time_grid_forms(self):
         assert np.allclose(parse_time_grid("0:1:3", None), [0, 0.5, 1])
         assert np.allclose(parse_time_grid("0.1,0.2", None), [0.1, 0.2])
+
+    def test_default_time_grid(self):
+        from collapsebox.collapse import FamilySpec, make_family
+        p = collapsebox.make_distribution([0.25, 0.35, 0.4])
+
+        def grid(dt):
+            return parse_time_grid(None, make_family(FamilySpec("linear", p, dt=dt)))
+
+        # equal collapse times: the plain 21-point grid, bit for bit
+        assert np.array_equal(grid((0.5,) * 3), np.linspace(0.0, 0.5, 21))
+        # 0.37 is added; the point one rounding away from 0.6 becomes 0.6
+        g = grid((0.37, 0.6, 1.0))
+        assert g.size == 22 and 0.37 in g and 0.6 in g
+        assert np.all(np.diff(g) > 0)
 
     def test_sweep_grid(self):
         g = parse_sweep_grid("dt=0,0.5;n=100,200")

@@ -93,6 +93,60 @@ class TestMakeFamily:
                                    grid_values=(prior, prior)))
 
 
+def mixture_rows(f, latent, s):
+    """Rows as the explicit mixture (1 - w) P0 + w eye[latent], with the
+    weight w of each kind; table rows interpolate the grid."""
+    n = f.size
+    if f.kind == "table":
+        return np.array([[np.interp(si, f.grid_times, f.grid_values[:, a, b])
+                          for b in range(n)] for a, si in zip(latent, s)])
+    dt = f.dt[latent]
+    if f.kind == "instantaneous":
+        w = (s > 0).astype(float)
+    elif f.kind == "frozen":
+        w = ((s > 0) & (s >= dt)).astype(float)
+    elif f.kind == "linear":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(dt > 0, np.clip(s / np.where(dt > 0, dt, 1.0), 0, 1),
+                         (s > 0).astype(float))
+    else:  # exponential, clipped to the delta from dt on
+        w = np.where(s <= 0, 0.0,
+                     np.where(s >= dt, 1.0, 1.0 - np.exp(-f.rates[latent] * s)))
+    return (1.0 - w)[:, None] * f.p0.weights[None, :] + w[:, None] * np.eye(n)[latent]
+
+
+class TestRows:
+    P3 = make_distribution([0.2, 0.3, 0.5])
+
+    def families(self):
+        table_values = [[[0.2, 0.3, 0.5]] * 3,
+                        [[0.6, 0.15, 0.25], [0.1, 0.65, 0.25], [0.1, 0.15, 0.75]],
+                        np.eye(3).tolist()]
+        return [
+            make_family(FamilySpec("instantaneous", self.P3)),
+            make_family(FamilySpec("linear", self.P3, dt=(0.0, 0.3, 1.1))),
+            make_family(FamilySpec("frozen", self.P3, dt=(0.0, 0.7, 0.3))),
+            make_family(FamilySpec("exponential", self.P3, rates=(2.0, 7.0, 30.0))),
+            make_family(FamilySpec("table", self.P3, grid_times=(0.0, 0.5, 1.0),
+                                   grid_values=table_values)),
+        ]
+
+    def test_equals_mixture_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for f in self.families():
+            latent = np.arange(f.size)
+            for s in (np.zeros(f.size), f.dt.copy(), np.full(f.size, np.inf),
+                      rng.uniform(0.0, 1.2 * f.dt_max + 0.1, f.size)):
+                assert np.array_equal(f.rows(latent, s), mixture_rows(f, latent, s)), (f.kind, s)
+            many = rng.integers(0, f.size, 500)
+            s = rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 500)
+            assert np.array_equal(f.rows(many, s), mixture_rows(f, many, s)), f.kind
+
+    def test_complete_collapse_is_identity(self):
+        for f in self.families():
+            assert np.array_equal(f.profile(np.inf), np.eye(f.size)), f.kind
+
+
 class TestValidateFamily:
     @pytest.mark.parametrize("fam", builtin_families(),
                              ids=lambda f: f"{f.kind}-{f.dt_min:g}-{f.dt_max:g}")

@@ -1,9 +1,16 @@
+import importlib
+import importlib.util
 import itertools
 import math
+import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import collapsebox.mc as mc
 from collapsebox.behaviors import make_distribution
 from collapsebox.collapse import FamilySpec, make_family, marginal_at
 from collapsebox.errors import AlphabetMismatch, InvalidSpec
@@ -89,7 +96,35 @@ class TestDeterminism:
             SimConfig(0, 1)
 
 
+class TestBlockAndWorkerInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3_000), seed=st.integers(0, 2**32 - 1),
+           workers=st.integers(1, 4), block=st.integers(1, 700))
+    def test_counts_independent_of_split(self, n, seed, workers, block):
+        fam = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
+        s = TwoBoxScenario(P0, fam)
+        w = WindowSpec(1.0, TimeDensity("truncexp", 1.0, rate=2.0))
+        runs = (lambda cfg: simulate_single(fam, P0, 0.4, cfg),
+                lambda cfg: simulate_twobox(s, Schedule(0.0, 0.4, 0), cfg),
+                lambda cfg: simulate_window(s, w, cfg))
+        ref = [run(SimConfig(n, seed)).counts for run in runs]
+        with mock.patch.object(mc, "_BLOCK", block):
+            alt = [run(SimConfig(n, seed, workers)).counts for run in runs]
+        for r, a in zip(ref, alt):
+            assert np.array_equal(r, a)
+
+
 class TestSimulateSingle:
+    def test_zero_weight_outcome_never_drawn(self, monkeypatch):
+        # u = 0 equals outcome 0's cumulative weight; the draw takes the
+        # first index whose cumulative weight exceeds u, never outcome 0
+        p = make_distribution([0.0, 0.5, 0.5])
+        fam = make_family(FamilySpec("linear", p, dt=(0.2, 0.4, 0.6)))
+        monkeypatch.setattr(mc, "replica_uniforms",
+                            lambda seed, lo, hi: np.zeros((hi - lo, 4)))
+        e = simulate_single(fam, p, 1.0, SimConfig(10, 0))
+        assert e.counts[0] == 0 and e.counts.sum() == 10
+
     def test_instantaneous_recovers_prior(self):
         fam = inst_scenario().family
         e = simulate_single(fam, P0, 0.7, SimConfig(100_000, 5))
@@ -314,3 +349,18 @@ class TestGofOracle:
         e = EmpiricalDist(np.array([17, 5, 2, 0]), 24)
         rep = gof_test(e, make_distribution([0.7, 0.2, 0.07, 0.03]))
         assert rep.method == "exact"
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark's tracer wraps these names; a missing one fails its
+    # traced runs only, so check them here
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [(m, a) for m, a, _ in spans.SPANS.values()] + list(spans.COUNTED.values())
+    for module, attr in targets:
+        target = importlib.import_module(f"collapsebox.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (module, attr)

@@ -82,6 +82,26 @@ class TestTimeDensity:
                 se = np.sqrt(ana * (1 - ana) / draws.size)
                 assert abs(emp - ana) <= 4 * se + 1e-3
 
+    def test_table_inverse_cdf_exact(self):
+        # F by the trapezoid rule on the knots, the density's own integral
+        g = five_knot_window().g
+        t, v = g.grid_times, g.grid_values
+        knot_cdf = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
+
+        def cdf(x):
+            i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
+            return knot_cdf[i] + 0.5 * (x - t[i]) * (v[i] + np.interp(x, t, v))
+
+        u = np.linspace(0.0, 1.0, 100_001)[:-1]
+        assert np.abs(cdf(g.sample(u)) - u).max() <= 1e-12
+
+    def test_table_sampling_skips_zero_density(self):
+        t = np.array([0.0, 0.3, 0.5, 1.0])
+        v = np.array([0.0, 0.0, 2.0, 2.0])
+        g = TimeDensity("table", 1.0, grid_times=t, grid_values=v / np.trapezoid(v, t))
+        draws = g.sample(np.linspace(0.0, 1.0, 10_001)[:-1])
+        assert draws.min() == 0.3 and draws.max() < 1.0
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
             TimeDensity("gaussian", 1.0)
