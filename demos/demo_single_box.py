@@ -45,8 +45,8 @@ def main():
               f"{'ok' if rep.passed else 'FAILED'}")
         print(f"    {'elapsed':>8} {'P(0)':>8} {'P(1)':>8} {'witness':>9}")
         for s in np.linspace(0.0, fam.dt_max, 5):
-            m = marginal_at(fam, P0, float(s))
-            w = single_box_witness(fam, P0, float(s))
+            m = marginal_at(fam, float(s))
+            w = single_box_witness(fam, float(s))
             print(f"    {s:8.3f} {m[0]:8.4f} {m[1]:8.4f} {w:9.5f}")
         print()
 

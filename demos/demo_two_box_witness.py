@@ -16,7 +16,6 @@ import numpy as np
 from collapsebox import (
     FamilySpec,
     SimConfig,
-    TwoBoxScenario,
     channel_capacity,
     induced_channel,
     make_distribution,
@@ -30,11 +29,10 @@ P0 = make_distribution([0.3, 0.7])
 def main():
     # outcome 0 collapses instantly, outcome 1 holds the prior for 1 s
     fam = make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0)))
-    scen = TwoBoxScenario(P0, fam)
     cfg = SimConfig(n=200_000, seed=11)
 
     grid = np.linspace(0.0, 1.0, 11)
-    reports = witness_sweep(scen, grid, cfg)
+    reports = witness_sweep(fam, grid, cfg)
 
     print("elapsed   TV(analytic)  TV(empirical)  [95% CI]           verdict")
     for r in reports:
@@ -43,7 +41,7 @@ def main():
               f"{r.verdict}")
 
     best = max(reports, key=lambda r: r.tv_analytic)
-    chan = induced_channel(scen, best.elapsed)
+    chan = induced_channel(fam, best.elapsed)
     cap = channel_capacity(chan)
     print()
     print(f"worst-case elapsed time: {best.elapsed:.2f} "

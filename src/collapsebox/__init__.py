@@ -30,8 +30,6 @@ from .mc import EmpiricalDist, SimConfig, gof_test, simulate_single, simulate_tw
 from .scenarios import (
     Schedule,
     TimeDensity,
-    TwoBoxScenario,
-    WindowSpec,
     bob_marginal,
     omega,
     theta,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .behaviors import Distribution, make_distribution
+from .behaviors import make_distribution
 from .collapse import (
     CollapseFamily,
     FamilySpec,
@@ -29,8 +29,8 @@ from .errors import CollapseBoxError, EmptyGrid, FormulaInconsistency
 from .mc import SimConfig, default_workers, empirical_rows, gof_test, simulate_twobox, simulate_window
 from .scenarios import (
     Schedule,
-    TwoBoxScenario,
-    WindowSpec,
+    TimeDensity,
+    bob_marginal,
     omega,
     schedule_from_dict,
     theta,
@@ -54,27 +54,25 @@ class RunManifest:
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    p0: Distribution
-    family_spec: FamilySpec
     family: CollapseFamily
-    window: WindowSpec | None
+    window: TimeDensity | None
     schedule: Schedule | None
     raw: dict
 
     @property
-    def scenario(self) -> TwoBoxScenario:
-        return TwoBoxScenario(self.p0, self.family)
+    def scenario(self) -> CollapseFamily:
+        """The correlated pair, which its collapse family fully describes."""
+        return self.family
 
 
 def load_scenario(path: str, validate: bool = True) -> ScenarioBundle:
     with open(path) as fh:
         raw = json.load(fh)
-    p0 = make_distribution(raw["p0"])
-    spec = family_spec_from_dict(raw["family"], p0=p0)
+    spec = family_spec_from_dict(raw["family"], p0=make_distribution(raw["p0"]))
     family = make_family(spec, validate=validate)
     window = window_from_dict(raw["window"]) if "window" in raw else None
     schedule = schedule_from_dict(raw["schedule"]) if "schedule" in raw else None
-    return ScenarioBundle(p0, spec, family, window, schedule, raw)
+    return ScenarioBundle(family, window, schedule, raw)
 
 
 def scenario_hash(raw: dict) -> str:
@@ -111,14 +109,15 @@ def parse_time_grid(spec: str | None, family: CollapseFamily):
     """Time grids: 'a:b:n' linspace or a comma-separated list.
 
     The default grid is 21 points over the collapse window merged with the
-    collapse times dt_a, where a linear or frozen family's TV peaks; a
-    point within rounding of some dt_a gives way to it.
+    family's kink times (each dt_a and a table's knots), where a piecewise
+    linear TV peaks; a point within rounding of a kink gives way to it.
     """
     if spec is None:
         top = family.dt_max if family.dt_max > 0 else 1.0
         grid = np.linspace(0.0, top, 21)
-        apart = np.abs(grid[:, None] - family.dt).min(axis=1) > 1e-9 * top
-        return np.union1d(grid[apart], family.dt)
+        kinks = family.kink_times
+        apart = np.abs(grid[:, None] - kinks).min(axis=1) > 1e-9 * top
+        return np.union1d(grid[apart], kinks)
     spec = spec.strip()
     if not spec:
         raise EmptyGrid("empty time grid")
@@ -162,12 +161,12 @@ def cmd_validate(manifest: RunManifest) -> int:
 
 def cmd_witness(manifest: RunManifest) -> int:
     bundle = load_scenario(manifest.scenario_path)
-    s = bundle.scenario
-    grid = parse_time_grid(manifest.grid, bundle.family)
+    f = bundle.family
+    grid = parse_time_grid(manifest.grid, f)
     if grid.size == 0:
         raise EmptyGrid("witness grid is empty")
     cfg = SimConfig(manifest.n, manifest.seed, manifest.workers)
-    reports = witness_sweep(s, grid, cfg, alpha=manifest.alpha)
+    reports = witness_sweep(f, grid, cfg, alpha=manifest.alpha)
 
     os.makedirs(manifest.out_dir, exist_ok=True)
     out = os.path.join(manifest.out_dir, "witness.csv")
@@ -178,7 +177,7 @@ def cmd_witness(manifest: RunManifest) -> int:
                 r.pvalue, r.verdict) for r in reports])
 
     best = max(reports, key=lambda r: r.tv_analytic)
-    cap = channel_capacity(induced_channel(s, best.elapsed))
+    cap = channel_capacity(induced_channel(f, best.elapsed))
     verdict = "signaling" if any(r.signaling for r in reports) else "non-signaling"
     print(f"max TV {best.tv_analytic:.3e} at s={best.elapsed:.6g}, "
           f"capacity {cap:.12g} bits, verdict: {verdict}")
@@ -188,22 +187,17 @@ def cmd_witness(manifest: RunManifest) -> int:
 
 def cmd_simulate(manifest: RunManifest) -> int:
     bundle = load_scenario(manifest.scenario_path)
-    s = bundle.scenario
+    f, sched = bundle.family, bundle.schedule
     cfg = SimConfig(manifest.n, manifest.seed, manifest.workers)
 
-    if bundle.schedule is not None:
-        emp = simulate_twobox(s, bundle.schedule, cfg)
-        if bundle.schedule.x == 0:
-            ref = s.p0
-        else:
-            from .scenarios import bob_marginal
-            ref = bob_marginal(s, 1, bundle.schedule.t_b - bundle.schedule.t_a)
-        targets = [("analytic", ref)]
+    if sched is not None:
+        emp = simulate_twobox(f, sched, cfg)
+        targets = [("analytic", bob_marginal(f, sched.x, sched.t_b - sched.t_a))]
     elif bundle.window is not None:
-        emp = simulate_window(s, bundle.window, cfg)
-        targets = [("prior", s.p0)]
+        emp = simulate_window(f, bundle.window, cfg)
+        targets = [("prior", f.p0)]
         try:
-            targets.append(("analytic", window_marginal(s, bundle.window)))
+            targets.append(("analytic", window_marginal(f, bundle.window)))
         except FormulaInconsistency as exc:
             print(f"analytic window formula inconsistent, skipped: {exc}")
     else:
@@ -228,32 +222,23 @@ def cmd_simulate(manifest: RunManifest) -> int:
     return 0
 
 
-def _cell_bundle(bundle: ScenarioBundle, dt=None, dt_window=None) -> ScenarioBundle:
-    spec = bundle.family_spec
-    family = bundle.family
-    raw = dict(bundle.raw)
+def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
+    """The (family, window) of one sweep cell: the scenario's with dt or
+    the window length replaced."""
+    family, window = bundle.family, bundle.window
     if dt is not None:
-        if spec.kind not in ("linear", "frozen", "instantaneous"):
+        if family.kind not in ("linear", "frozen", "instantaneous"):
             raise CollapseBoxError(
-                f"dt sweep is not supported for kind {spec.kind!r}")
-        kind = spec.kind if spec.kind != "instantaneous" else "linear"
-        n = bundle.p0.size
-        spec = FamilySpec(kind=kind, p0=bundle.p0, dt=(float(dt),) * n)
-        family = make_family(spec)
-        raw["family"] = {"kind": kind, "dt": [float(dt)] * n}
-    window = bundle.window
+                f"dt sweep is not supported for kind {family.kind!r}")
+        kind = family.kind if family.kind != "instantaneous" else "linear"
+        family = make_family(FamilySpec(kind, family.p0, dt=(float(dt),) * family.size))
     if dt_window is not None:
         if window is None:
             raise CollapseBoxError("dt_window sweep needs a window in the scenario")
-        if window.g.kind == "table":
+        if window.kind == "table":
             raise CollapseBoxError("dt_window sweep is not supported for table densities")
-        from .scenarios import TimeDensity
-        g = TimeDensity(window.g.kind, float(dt_window), rate=window.g.rate)
-        window = WindowSpec(float(dt_window), g)
-        rw = dict(raw.get("window", {}))
-        rw["dt_window"] = float(dt_window)
-        raw["window"] = rw
-    return ScenarioBundle(bundle.p0, spec, family, window, bundle.schedule, raw)
+        window = TimeDensity(window.kind, float(dt_window), rate=window.rate)
+    return family, window
 
 
 def cmd_sweep(manifest: RunManifest) -> int:
@@ -275,22 +260,20 @@ def cmd_sweep(manifest: RunManifest) -> int:
         for cell in cells:
             params = dict(zip(keys, cell))
             try:
-                cb = _cell_bundle(bundle,
-                                  dt=params.get("dt"),
+                f, window = _cell(bundle, dt=params.get("dt"),
                                   dt_window=params.get("dt_window"))
                 n = int(params.get("n", manifest.n))
                 cfg = SimConfig(n, manifest.seed, manifest.workers)
-                s = cb.scenario
-                tgrid = parse_time_grid(None, cb.family)
-                reports = witness_sweep(s, tgrid, cfg, alpha=manifest.alpha)
+                tgrid = parse_time_grid(None, f)
+                reports = witness_sweep(f, tgrid, cfg, alpha=manifest.alpha)
                 best = max(reports, key=lambda r: r.tv_analytic)
-                cap = channel_capacity(induced_channel(s, best.elapsed))
+                cap = channel_capacity(induced_channel(f, best.elapsed))
                 verdict = ("signaling" if any(r.signaling for r in reports)
                            else "non-signaling")
                 th = om = None
-                if cb.window is not None:
-                    th = theta(cb.window, cb.family.dt_min)
-                    om = omega(cb.window, cb.family.dt_min)
+                if window is not None:
+                    th = theta(window, f.dt_min)
+                    om = omega(window, f.dt_min)
                 row = tuple(params[k] for k in keys) + (
                     th, om, best.tv_analytic, best.elapsed, cap, verdict)
                 fh.write(",".join(_fmt(v) for v in row) + "\n")

@@ -24,7 +24,6 @@ from .errors import (
     BoundaryViolation,
     EmptyGrid,
     InvalidSpec,
-    PriorMismatch,
     TimeBeforeTrigger,
     TimeOutsideWindow,
 )
@@ -77,6 +76,14 @@ class CollapseFamily:
     @property
     def dt_max(self) -> float:
         return float(self.dt.max())
+
+    @property
+    def kink_times(self) -> np.ndarray:
+        """Sorted times where some row is not smooth: each dt_a, and a table's
+        knots up to dt_max (beyond it every row is a delta)."""
+        if self.kind == "table":
+            return np.union1d(self.dt, self.grid_times[self.grid_times <= self.dt_max])
+        return np.unique(self.dt)
 
     def profile(self, s: float) -> np.ndarray:
         """The matrix f[a, a'] at elapsed time s >= 0."""
@@ -239,18 +246,16 @@ def validate_family(f: CollapseFamily, grid) -> ValidationReport:
     return ValidationReport(passed, worst, tol)
 
 
-def marginal_at(f: CollapseFamily, p0: Distribution, elapsed: float) -> Distribution:
+def marginal_at(f: CollapseFamily, elapsed: float) -> Distribution:
     """Evolved single-box marginal P(a') = sum_a f_{aa'}(elapsed) P0(a)."""
     if elapsed < 0:
         raise TimeBeforeTrigger(f"elapsed time {elapsed} < 0")
-    if p0.size != f.p0.size or np.abs(p0.weights - f.p0.weights).max() > 1e-12:
-        raise PriorMismatch("distribution does not match the family's bound prior")
     m = f.profile(float(elapsed))
-    out = p0.weights @ m
+    out = f.p0.weights @ m
     return make_distribution(out, atol=1e-9)
 
 
-def single_box_witness(f: CollapseFamily, p0: Distribution, elapsed: float) -> float:
+def single_box_witness(f: CollapseFamily, elapsed: float) -> float:
     """TV distance between the evolved marginal and the prior.
 
     Defined on the whole collapse window [0, dt_max]; beyond dt_max the
@@ -260,7 +265,7 @@ def single_box_witness(f: CollapseFamily, p0: Distribution, elapsed: float) -> f
         raise TimeOutsideWindow(
             f"elapsed {elapsed} outside the collapse window [0, {f.dt_max}]"
         )
-    return tv_distance(marginal_at(f, p0, elapsed), p0)
+    return tv_distance(marginal_at(f, elapsed), f.p0)
 
 
 # --- serialization (external interface) ---

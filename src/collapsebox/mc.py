@@ -30,7 +30,7 @@ from scipy.special import chdtrc, gammaln, xlogy
 from .behaviors import Distribution
 from .collapse import CollapseFamily
 from .errors import AlphabetMismatch, InvalidSpec
-from .scenarios import Schedule, TwoBoxScenario, WindowSpec
+from .scenarios import Schedule, TimeDensity
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 
@@ -128,16 +128,16 @@ def _simulate(p0: Distribution, cfg: SimConfig, cum_rows) -> EmpiricalDist:
     return EmpiricalDist(np.sum(parts, axis=0).astype(np.int64), cfg.n)
 
 
-def simulate_single(f: CollapseFamily, p0: Distribution, probe_elapsed: float,
+def simulate_single(f: CollapseFamily, probe_elapsed: float,
                     cfg: SimConfig) -> EmpiricalDist:
     """Single box: trigger at 0, probe at `probe_elapsed`."""
     if probe_elapsed < 0:
         raise InvalidSpec("probe time must be >= 0")
     cum = np.cumsum(f.profile(float(probe_elapsed)), axis=1)
-    return _simulate(p0, cfg, lambda latent, u: cum[latent])
+    return _simulate(f.p0, cfg, lambda latent, u: cum[latent])
 
 
-def simulate_twobox(s: TwoBoxScenario, sched: Schedule,
+def simulate_twobox(f: CollapseFamily, sched: Schedule,
                     cfg: SimConfig) -> EmpiricalDist:
     """Fixed-schedule correlated pair; aggregates Bob's outputs.
 
@@ -146,10 +146,10 @@ def simulate_twobox(s: TwoBoxScenario, sched: Schedule,
     is a delta.
     """
     elapsed = sched.t_b - sched.t_a if sched.x == 1 else math.inf
-    return simulate_single(s.family, s.p0, elapsed, cfg)
+    return simulate_single(f, elapsed, cfg)
 
 
-def simulate_window(s: TwoBoxScenario, w: WindowSpec,
+def simulate_window(f: CollapseFamily, g: TimeDensity,
                     cfg: SimConfig) -> EmpiricalDist:
     """Randomized-window experiment with Alice choosing the triggering input.
 
@@ -159,12 +159,12 @@ def simulate_window(s: TwoBoxScenario, w: WindowSpec,
     and reads the latent itself (elapsed time inf).
     """
     def cum_rows(latent, u):
-        t_a = w.g.sample(u[:, 2])
-        t_b = w.g.sample(u[:, 3])
+        t_a = g.sample(u[:, 2])
+        t_b = g.sample(u[:, 3])
         elapsed = np.where(t_b >= t_a, t_b - t_a, math.inf)
-        return np.cumsum(s.family.rows(latent, elapsed), axis=1)
+        return np.cumsum(f.rows(latent, elapsed), axis=1)
 
-    return _simulate(s.p0, cfg, cum_rows)
+    return _simulate(f.p0, cfg, cum_rows)
 
 
 @dataclass(frozen=True)

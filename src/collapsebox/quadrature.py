@@ -28,7 +28,8 @@ def integrate(fn, a: float, b: float, tol: float = 1e-9,
 
     Interval bisection continues until the local Richardson error
     estimate is below the locally allotted tolerance. Breakpoints inside
-    (a, b) split the interval before adaptation starts. A vector-valued
+    (a, b) split the interval before adaptation starts; fn may jump at
+    one, as each piece reads its right end as a left limit. A vector-valued
     fn gives a vector value and a max-norm error estimate.
     """
     if a > b:
@@ -61,7 +62,9 @@ def _simpson(fa, fm, fb, h):
 
 
 def _adaptive_piece(fn, a, b, tol, max_depth):
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+    # the right end is read at its left limit, so a jump at a breakpoint
+    # belongs to the piece on its right and no piece bisects towards it
+    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(np.nextafter(b, a))
     evals = 3
     whole = _simpson(fa, fm, fb, b - a)
     stack = [(a, b, fa, fm, fb, whole, tol, 0)]

@@ -1,7 +1,13 @@
 """Analytic evaluators for the timed one- and two-box experiment layouts.
 
 Covers the fixed-schedule correlated pair (Bob's marginal under Alice's
-two choices) and the randomized window experiment.
+two choices) and the randomized window experiment. The pair is fully
+described by one `CollapseFamily`, which carries the shared prior P0.
+Input 0 on either side is non collapse triggering with deterministic
+output 0; input 1 triggers the collapse with first-output prior P0.
+Perfect correlation: the (1,1) joint is P0(a,b) = delta_{a,b} P0(b).
+The window is one input-time density g (a `TimeDensity`) on
+[0, W], W = g.width.
 
 The window layer is built on the density h of D = t_B - t_A at u >= 0,
 for i.i.d. input times with density g. D and -D have the same law, so h
@@ -21,8 +27,7 @@ Its factor 2 counts the Bob-first pairs as mid-collapse, and its range
 stops at dt_min although latents with longer collapse times still drift:
 it differs from the exact marginal whenever dt_min < dt_max.
 
-Times are elapsed seconds from the window start (the agreed instant tau);
-input-time densities live on [0, dt_window].
+Times are elapsed seconds from the window start (the agreed instant tau).
 """
 
 from __future__ import annotations
@@ -133,20 +138,6 @@ class TimeDensity:
 
 
 @dataclass(frozen=True)
-class WindowSpec:
-    """Randomized-input time window: length and input-time density."""
-
-    dt_window: float
-    g: TimeDensity
-
-    def __post_init__(self):
-        if not self.dt_window > 0:  # also rejects NaN
-            raise InvalidSpec("window length must be positive")
-        if abs(self.g.width - self.dt_window) > 1e-12:
-            raise InvalidSpec("density width must equal the window length")
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Fixed input times on the shared clock, and Alice's choice."""
 
@@ -163,25 +154,7 @@ class Schedule:
             raise InvalidSpec("fixed-schedule scenario requires t_b >= t_a")
 
 
-@dataclass(frozen=True)
-class TwoBoxScenario:
-    """Perfectly correlated pair: shared prior P0 and a collapse family.
-
-    Input 0 on either side is non collapse triggering with deterministic
-    output 0; input 1 triggers the collapse with first-output prior P0.
-    Perfect correlation: the (1,1) joint is P0(a,b) = delta_{a,b} P0(b).
-    """
-
-    p0: Distribution
-    family: CollapseFamily
-
-    def __post_init__(self):
-        fp = self.family.p0
-        if fp.size != self.p0.size or np.abs(fp.weights - self.p0.weights).max() > 1e-12:
-            raise InvalidSpec("collapse family is bound to a different prior")
-
-
-def bob_marginal(s: TwoBoxScenario, x: int, elapsed: float) -> Distribution:
+def bob_marginal(f: CollapseFamily, x: int, elapsed: float) -> Distribution:
     """Bob's output distribution under Alice's choice x at the given elapsed time.
 
     x = 0: Alice's input triggers nothing, Bob sees the prior.
@@ -191,8 +164,8 @@ def bob_marginal(s: TwoBoxScenario, x: int, elapsed: float) -> Distribution:
     if elapsed < 0:
         raise NegativeElapsed(f"elapsed {elapsed} < 0")
     if x == 0:
-        return s.p0
-    return marginal_at(s.family, s.p0, elapsed)
+        return f.p0
+    return marginal_at(f, elapsed)
 
 
 def _integral(fn, hi: float, breakpoints) -> float:
@@ -206,7 +179,7 @@ def _integral(fn, hi: float, breakpoints) -> float:
         ) from exc
 
 
-def difference_density(w: WindowSpec, u) -> float:
+def difference_density(g: TimeDensity, u) -> float:
     """h(u) = integral of g(t) g(t + u) dt over [0, W - u], the density of D at u >= 0.
 
     uniform: ``(W - u) / W^2``; truncexp (rate lam):
@@ -214,10 +187,9 @@ def difference_density(w: WindowSpec, u) -> float:
     table: g(t) g(t + u) is quadratic between the knots merged with the
     knots shifted by -u, so Simpson's rule is exact on each piece.
     """
-    width = w.dt_window
+    width = g.width
     if u < 0 or u > width:
         return 0.0
-    g = w.g
     if g.kind == "uniform":
         return (width - u) / width**2
     if g.kind == "truncexp":
@@ -235,52 +207,52 @@ def difference_density(w: WindowSpec, u) -> float:
                                             + 4.0 * product(0.5 * (t[:-1] + t[1:])))).sum())
 
 
-def omega(w: WindowSpec, dt_min: float) -> float:
+def omega(g: TimeDensity, dt_min: float) -> float:
     """Omega = P(0 <= D <= dt_min), the integral of h over [0, min(dt_min, W)]."""
     if dt_min < 0:
         raise InvalidSpec("dt_min must be non-negative")
-    r = _integral(lambda u: difference_density(w, u), min(dt_min, w.dt_window),
-                  w.g.breakpoints())
+    r = _integral(lambda u: difference_density(g, u), min(dt_min, g.width),
+                  g.breakpoints())
     return min(max(r, 0.0), 1.0)
 
 
-def theta(w: WindowSpec, dt_min: float) -> float:
+def theta(g: TimeDensity, dt_min: float) -> float:
     """Theta = P(|D| <= dt_min) = 2 Omega: two g-draws within dt_min of each other."""
-    if dt_min >= w.dt_window:
+    if dt_min >= g.width:
         return 1.0
-    return min(2.0 * omega(w, dt_min), 1.0)
+    return min(2.0 * omega(g, dt_min), 1.0)
 
 
-def _window_mixture(s: TwoBoxScenario, w: WindowSpec, hi: float, weight: float) -> Distribution:
+def _window_mixture(f: CollapseFamily, g: TimeDensity, hi: float, weight: float) -> Distribution:
     """``P0 + weight * integral over [0, hi] of (P0 . f(u) - P0) h(u) du``, one vector integral.
 
     Normalization beyond 1e-6 is an error, never silently repaired.
     """
-    p0 = s.p0.weights
+    p0 = f.p0.weights
 
     def drift(u):
-        return (p0 @ s.family.profile(u) - p0) * difference_density(w, u)
+        return (p0 @ f.profile(u) - p0) * difference_density(g, u)
 
-    out = p0 + weight * _integral(drift, hi, tuple(s.family.dt) + w.g.breakpoints())
+    out = p0 + weight * _integral(drift, hi, tuple(f.kink_times) + g.breakpoints())
     mass = float(out.sum())
     if abs(mass - 1.0) > 1e-6:
         raise FormulaInconsistency(f"window-averaged marginal sums to {mass!r}, not 1")
     return make_distribution(out, atol=1e-6)
 
 
-def window_marginal(s: TwoBoxScenario, w: WindowSpec) -> Distribution:
+def window_marginal(f: CollapseFamily, g: TimeDensity) -> Distribution:
     """Exact window-averaged Bob marginal when Alice chooses the triggering input.
 
     ``P0 + integral over [0, min(dt_max, W)] of (P0 . f(u) - P0) h(u) du``;
     the module docstring derives it. `simulate_window` samples this value.
     """
-    return _window_mixture(s, w, min(s.family.dt_max, w.dt_window), 1.0)
+    return _window_mixture(f, g, min(f.dt_max, g.width), 1.0)
 
 
-def window_marginal_two_term(s: TwoBoxScenario, w: WindowSpec) -> Distribution:
+def window_marginal_two_term(f: CollapseFamily, g: TimeDensity) -> Distribution:
     """The paper's two-term window formula, which differs from `window_marginal`
     whenever dt_min < dt_max (see the module docstring)."""
-    return _window_mixture(s, w, min(s.family.dt_min, w.dt_window), 2.0)
+    return _window_mixture(f, g, min(f.dt_min, g.width), 2.0)
 
 
 # --- serialization (external interface) ---
@@ -301,13 +273,12 @@ def density_from_dict(d: dict, width: float) -> TimeDensity:
         grid_times=d.get("times"), grid_values=d.get("values"))
 
 
-def window_to_dict(w: WindowSpec) -> dict:
-    return {"dt_window": float(w.dt_window), "g": density_to_dict(w.g)}
+def window_to_dict(g: TimeDensity) -> dict:
+    return {"dt_window": float(g.width), "g": density_to_dict(g)}
 
 
-def window_from_dict(d: dict) -> WindowSpec:
-    width = float(d["dt_window"])
-    return WindowSpec(width, density_from_dict(d["g"], width))
+def window_from_dict(d: dict) -> TimeDensity:
+    return density_from_dict(d["g"], float(d["dt_window"]))
 
 
 def schedule_to_dict(s: Schedule) -> dict:

@@ -14,9 +14,10 @@ import numpy as np
 from scipy.special import xlogy
 
 from .behaviors import make_distribution, tv_distance
+from .collapse import CollapseFamily
 from .errors import EmptyGrid, InvalidSpec
 from .mc import SimConfig, gof_test, simulate_twobox
-from .scenarios import Schedule, TwoBoxScenario, bob_marginal
+from .scenarios import Schedule, bob_marginal
 
 _HALVINGS = 80  # bisection steps: past float resolution on [0, 1]
 
@@ -55,13 +56,13 @@ class InducedChannel:
         r.setflags(write=False)
 
 
-def induced_channel(s: TwoBoxScenario, elapsed: float) -> InducedChannel:
-    p0 = bob_marginal(s, 0, elapsed)
-    p1 = bob_marginal(s, 1, elapsed)
+def induced_channel(f: CollapseFamily, elapsed: float) -> InducedChannel:
+    p0 = bob_marginal(f, 0, elapsed)
+    p1 = bob_marginal(f, 1, elapsed)
     return InducedChannel(np.vstack([p0.weights, p1.weights]))
 
 
-def witness(s: TwoBoxScenario, elapsed: float, cfg: SimConfig | None = None,
+def witness(f: CollapseFamily, elapsed: float, cfg: SimConfig | None = None,
             alpha: float = 0.01) -> WitnessReport:
     """Analytic signaling witness at one elapsed time, with MC corroboration.
 
@@ -69,14 +70,14 @@ def witness(s: TwoBoxScenario, elapsed: float, cfg: SimConfig | None = None,
     _DETECTION_FLOOR and an empirical goodness-of-fit rejection, so neither
     quadrature residue nor sampling noise alone can trigger a detection.
     """
-    p_off = bob_marginal(s, 0, elapsed)
-    p_on = bob_marginal(s, 1, elapsed)
+    p_off = bob_marginal(f, 0, elapsed)
+    p_on = bob_marginal(f, 1, elapsed)
     tv_a = tv_distance(p_off, p_on)
     if cfg is None:
         return WitnessReport(elapsed, tv_a, None, None, None, None, tv_a > _DETECTION_FLOOR)
 
     sched = Schedule(t_a=0.0, t_b=float(elapsed), x=1)
-    emp = simulate_twobox(s, sched, cfg)
+    emp = simulate_twobox(f, sched, cfg)
     tv_e = 0.5 * float(np.abs(emp.freqs - p_off.weights).sum())
     half = 0.5 * float(emp.wilson_halfwidth().sum())  # conservative propagation
     gof = gof_test(emp, p_off, alpha=alpha)
@@ -85,7 +86,7 @@ def witness(s: TwoBoxScenario, elapsed: float, cfg: SimConfig | None = None,
                          min(tv_e + half, 1.0), gof.pvalue, signaling)
 
 
-def witness_sweep(s: TwoBoxScenario, grid, cfg: SimConfig | None = None,
+def witness_sweep(f: CollapseFamily, grid, cfg: SimConfig | None = None,
                   alpha: float = 0.01):
     """One WitnessReport per grid point, in grid order."""
     grid = list(grid)
@@ -97,7 +98,7 @@ def witness_sweep(s: TwoBoxScenario, grid, cfg: SimConfig | None = None,
         if cfg is not None:
             # decorrelate grid points while keeping the sweep reproducible
             point_cfg = SimConfig(cfg.n, cfg.seed + i, cfg.workers)
-        reports.append(witness(s, float(t), point_cfg, alpha=alpha))
+        reports.append(witness(f, float(t), point_cfg, alpha=alpha))
     return reports
 
 

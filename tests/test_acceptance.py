@@ -29,8 +29,6 @@ from collapsebox.collapse import (
 from collapsebox.mc import SimConfig, gof_test, simulate_single, simulate_window
 from collapsebox.scenarios import (
     TimeDensity,
-    TwoBoxScenario,
-    WindowSpec,
     theta,
     window_marginal,
     window_marginal_two_term,
@@ -38,7 +36,7 @@ from collapsebox.scenarios import (
 from collapsebox.signaling import channel_capacity, induced_channel, witness
 
 P0 = make_distribution([0.3, 0.7])
-UNIFORM_WINDOW = WindowSpec(1.0, TimeDensity("uniform", 1.0))
+UNIFORM_WINDOW = TimeDensity("uniform", 1.0)
 
 
 def _report(num, desc):
@@ -57,21 +55,20 @@ def test_criterion_1_instantaneous_is_nonsignaling():
     rng = np.random.default_rng(101)
     for p in random_priors(rng, 50):
         fam = make_family(FamilySpec("instantaneous", p))
-        s = TwoBoxScenario(p, fam)
         # layout 1: single box, probed during and after the (null) collapse
         for t in (0.0, 0.2, 1.0):
-            assert tv_distance(marginal_at(fam, p, t), p) <= 1e-12
+            assert tv_distance(marginal_at(fam, t), p) <= 1e-12
         # layout 2: fixed-schedule correlated pair
         for t in (0.1, 0.5, 2.0):
-            assert witness(s, t).tv_analytic <= 1e-12
+            assert witness(fam, t).tv_analytic <= 1e-12
         # layout 3: randomized window
-        assert tv_distance(window_marginal(s, UNIFORM_WINDOW), p) <= 1e-12
+        assert tv_distance(window_marginal(fam, UNIFORM_WINDOW), p) <= 1e-12
 
     # MC verdicts over 1000 seeds: detection requires analytic TV > tol,
     # which never holds here, so the rate must stay at or below alpha
-    s = TwoBoxScenario(P0, make_family(FamilySpec("instantaneous", P0)))
+    fam = make_family(FamilySpec("instantaneous", P0))
     detections = sum(
-        witness(s, 0.5, SimConfig(1_000, 7_000 + seed), alpha=0.01).signaling
+        witness(fam, 0.5, SimConfig(1_000, 7_000 + seed), alpha=0.01).signaling
         for seed in range(1000))
     assert detections / 1000 <= 0.01
     _report(1, "instantaneous collapse is non-signaling in all three layouts, "
@@ -80,7 +77,6 @@ def test_criterion_1_instantaneous_is_nonsignaling():
 
 def test_criterion_2_finite_dt_signals():
     fam = make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0)))
-    s = TwoBoxScenario(P0, fam)
 
     # derived oracle: brute force over the two latent outcomes at s = 0.5
     rows = fam.profile(0.5)
@@ -91,13 +87,13 @@ def test_criterion_2_finite_dt_signals():
     tv_oracle = 0.5 * np.abs(oracle - P0.weights).sum()
     assert tv_oracle == pytest.approx(0.21, abs=1e-12)
 
-    rep = witness(s, 0.5, SimConfig(10**6, 2024))
+    rep = witness(fam, 0.5, SimConfig(10**6, 2024))
     assert rep.tv_analytic == pytest.approx(0.21, abs=1e-12)
     se = float(np.sqrt((P0.weights * (1 - P0.weights)).max() / 10**6))
     assert abs(rep.tv_empirical - 0.21) <= 4 * se
     assert rep.signaling
 
-    cap = channel_capacity(induced_channel(s, 0.5))
+    cap = channel_capacity(induced_channel(fam, 0.5))
     assert cap > 0
     # independent grid-search oracle over the one-parameter prior
     rows_c = np.vstack([P0.weights, oracle])
@@ -164,7 +160,7 @@ def test_criterion_4_marginal_oracle_equivalence():
             for a in range(2):
                 for ap in range(2):
                     brute[ap] += P0[a] * rows[a, ap]
-            assert np.abs(marginal_at(fam, P0, float(s)).weights
+            assert np.abs(marginal_at(fam, float(s)).weights
                           - brute).max() <= 1e-14
 
     # MC agreement at N = 1e6 for 20 random (family, prior, time) triples
@@ -174,8 +170,8 @@ def test_criterion_4_marginal_oracle_equivalence():
         p = make_distribution(w / w.sum())
         fam = make_family(FamilySpec(kind, p, dt=dt, rates=rates))
         t = float(rng.uniform(0, max(fam.dt_max, 1.0)))
-        emp = simulate_single(fam, p, t, SimConfig(10**6, 40_000 + i))
-        ana = marginal_at(fam, p, t).weights
+        emp = simulate_single(fam, t, SimConfig(10**6, 40_000 + i))
+        ana = marginal_at(fam, t).weights
         se = np.sqrt(np.maximum(ana * (1 - ana), 1e-12) / 10**6)
         assert np.all(np.abs(emp.freqs - ana) <= 4 * se + 1e-6)
     _report(4, "marginal evolution matches brute force to 1e-14 and MC at "
@@ -199,27 +195,26 @@ def test_criterion_5_theta_quadrature():
 
 def test_criterion_6_window_formula_vs_ground_truth():
     # instantaneous: analytic equals the prior and MC agrees
-    s_inst = TwoBoxScenario(P0, make_family(FamilySpec("instantaneous", P0)))
-    ana = window_marginal(s_inst, UNIFORM_WINDOW)
+    f_inst = make_family(FamilySpec("instantaneous", P0))
+    ana = window_marginal(f_inst, UNIFORM_WINDOW)
     assert tv_distance(ana, P0) <= 1e-9
-    emp = simulate_window(s_inst, UNIFORM_WINDOW, SimConfig(10**6, 606))
+    emp = simulate_window(f_inst, UNIFORM_WINDOW, SimConfig(10**6, 606))
     assert not gof_test(emp, P0, alpha=0.01).reject
 
     # finite collapse times, non-marginal-preserving family: MC is ground
     # truth and the exact window marginal must pass its GOF test on a
     # uniform, a truncated-exponential and a tabulated window
-    s_fin = TwoBoxScenario(P0, make_family(FamilySpec("linear", P0,
-                                                      dt=(0.25, 1.0))))
+    f_fin = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
     knots = np.array([0.0, 0.5, 1.0])
     windows = (UNIFORM_WINDOW,
-               WindowSpec(1.0, TimeDensity("truncexp", 1.0, rate=2.0)),
-               WindowSpec(1.0, TimeDensity("table", 1.0, grid_times=knots,
-                                           grid_values=np.array([0.5, 1.5, 0.5]))))
+               TimeDensity("truncexp", 1.0, rate=2.0),
+               TimeDensity("table", 1.0, grid_times=knots,
+                           grid_values=np.array([0.5, 1.5, 0.5])))
     runs, pvalues = [], []
     for i, w in enumerate(windows):
-        runs.append(simulate_window(s_fin, w, SimConfig(10**6, 607 + i)))
-        gof = gof_test(runs[-1], window_marginal(s_fin, w), alpha=0.01)
-        assert not gof.reject, (w.g.kind, gof.pvalue)
+        runs.append(simulate_window(f_fin, w, SimConfig(10**6, 607 + i)))
+        gof = gof_test(runs[-1], window_marginal(f_fin, w), alpha=0.01)
+        assert not gof.reject, (w.kind, gof.pvalue)
         pvalues.append(gof.pvalue)
 
     # on the uniform window: the deviation from the prior is significant,
@@ -228,7 +223,7 @@ def test_criterion_6_window_formula_vs_ground_truth():
     tv_mc = 0.5 * float(np.abs(emp.freqs - P0.weights).sum())
     se = float(np.sqrt((P0.weights * (1 - P0.weights)).max() / 10**6))
     assert tv_mc >= 5 * se
-    two_term = window_marginal_two_term(s_fin, UNIFORM_WINDOW)
+    two_term = window_marginal_two_term(f_fin, UNIFORM_WINDOW)
     discrepancy = 0.5 * float(np.abs(emp.freqs - two_term.weights).sum())
     _report(6, "instantaneous window marginal equals the prior (1e-9, MC "
                "agrees); exact window marginal not rejected by MC at N=1e6 on "

@@ -245,6 +245,23 @@ class TestParsers:
         assert g.size == 22 and 0.37 in g and 0.6 in g
         assert np.all(np.diff(g) > 0)
 
+    def test_default_time_grid_holds_table_knots(self):
+        # rows (1 - lam) P0 + lam delta_a, lam linear between the knots: the
+        # TV is piecewise linear and peaks at a knot, 0.168 at s = 0.1
+        from collapsebox.collapse import FamilySpec, make_family
+        from collapsebox.signaling import witness_sweep
+        p = collapsebox.make_distribution([0.3, 0.7])
+        knots = [0.0, 0.1, 0.2, 0.35, 0.5, 0.8]
+        lam = [[0.0, 0.9, 0.2, 0.7, 0.9, 1.0], [0.0, 0.1, 0.6, 0.3, 1.0, 1.0]]
+        values = [[(1 - lam[a][k]) * p.weights + lam[a][k] * np.eye(2)[a] for a in range(2)]
+                  for k in range(len(knots))]
+        fam = make_family(FamilySpec("table", p, grid_times=knots, grid_values=values))
+        g = parse_time_grid(None, fam)
+        assert set(knots) <= set(g)
+        best = max(witness_sweep(fam, g), key=lambda r: r.tv_analytic)
+        assert best.elapsed == 0.1
+        assert best.tv_analytic == pytest.approx(0.168, abs=1e-12)
+
     def test_sweep_grid(self):
         g = parse_sweep_grid("dt=0,0.5;n=100,200")
         assert g == {"dt": [0.0, 0.5], "n": [100, 200]}

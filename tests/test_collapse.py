@@ -15,7 +15,6 @@ from collapsebox.errors import (
     BoundaryViolation,
     EmptyGrid,
     InvalidSpec,
-    PriorMismatch,
     TimeBeforeTrigger,
     TimeOutsideWindow,
 )
@@ -177,17 +176,17 @@ class TestValidateFamily:
 class TestMarginalAt:
     def test_prior_at_trigger(self):
         for fam in builtin_families():
-            assert np.allclose(marginal_at(fam, P0, 0.0).weights, P0.weights,
+            assert np.allclose(marginal_at(fam, 0.0).weights, P0.weights,
                                atol=1e-12)
 
     def test_equal_dt_linear_preserves_prior(self):
         fam = make_family(FamilySpec("linear", P0, dt=(1.0, 1.0)))
         for s in (0.0, 0.2, 0.5, 0.9, 1.0):
-            assert np.allclose(marginal_at(fam, P0, s).weights, P0.weights,
+            assert np.allclose(marginal_at(fam, s).weights, P0.weights,
                                atol=1e-12)
 
     def test_asymmetric_hand_value(self):
-        m = marginal_at(asym_family(), P0, 0.5)
+        m = marginal_at(asym_family(), 0.5)
         assert np.allclose(m.weights, [0.51, 0.49], atol=1e-14)
 
     def test_latent_enumeration_oracle(self):
@@ -200,60 +199,58 @@ class TestMarginalAt:
                 for a in range(2):
                     for ap in range(2):
                         expected[ap] += P0[a] * rows[a, ap]
-                got = marginal_at(fam, P0, float(s)).weights
+                got = marginal_at(fam, float(s)).weights
                 assert np.abs(got - expected).max() <= 1e-14
 
     def test_post_collapse_returns_prior(self):
         for fam in builtin_families():
             for s in (fam.dt_max, fam.dt_max + 0.1, fam.dt_max + 10):
-                m = marginal_at(fam, P0, s)
+                m = marginal_at(fam, s)
                 assert np.abs(m.weights - P0.weights).max() <= 1e-12
 
     def test_valid_distribution_on_dense_grid(self):
         for fam in builtin_families():
             for s in np.linspace(0, fam.dt_max + 0.2, 100):
-                m = marginal_at(fam, P0, float(s))  # raises if invalid
+                m = marginal_at(fam, float(s))  # raises if invalid
                 assert np.all(m.weights >= 0)
 
     def test_errors(self):
         fam = asym_family()
         with pytest.raises(TimeBeforeTrigger):
-            marginal_at(fam, P0, -0.1)
-        with pytest.raises(PriorMismatch):
-            marginal_at(fam, make_distribution([0.5, 0.5]), 0.1)
+            marginal_at(fam, -0.1)
 
 
 class TestSingleBoxWitness:
     def test_instantaneous_always_zero(self):
         fam = make_family(FamilySpec("instantaneous", P0))
         for s in (0.0,):
-            assert single_box_witness(fam, P0, s) == 0.0
+            assert single_box_witness(fam, s) == 0.0
         rng = np.random.default_rng(5)
         for _ in range(10):
             w = rng.random(3) + 1e-3
             p = make_distribution(w / w.sum())
             fi = make_family(FamilySpec("instantaneous", p))
-            assert single_box_witness(fi, p, 0.0) <= 1e-12
+            assert single_box_witness(fi, 0.0) <= 1e-12
 
     def test_equal_dt_linear_zero(self):
         fam = make_family(FamilySpec("linear", P0, dt=(1.0, 1.0)))
-        assert single_box_witness(fam, P0, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert single_box_witness(fam, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_asymmetric_value(self):
-        assert single_box_witness(asym_family(), P0, 0.5) == pytest.approx(
+        assert single_box_witness(asym_family(), 0.5) == pytest.approx(
             0.21, abs=1e-12)
 
     def test_outside_window(self):
         with pytest.raises(TimeOutsideWindow):
-            single_box_witness(asym_family(), P0, 1.5)
+            single_box_witness(asym_family(), 1.5)
         with pytest.raises(TimeOutsideWindow):
-            single_box_witness(asym_family(), P0, -0.1)
+            single_box_witness(asym_family(), -0.1)
 
     def test_monotone_on_shared_window(self):
         # built-in with positive shortest collapse time
         fam = make_family(FamilySpec("frozen", P0, dt=(0.4, 1.0)))
         grid = np.linspace(0.0, fam.dt_min, 50)
-        vals = [single_box_witness(fam, P0, float(s)) for s in grid]
+        vals = [single_box_witness(fam, float(s)) for s in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 

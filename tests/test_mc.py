@@ -28,35 +28,35 @@ from collapsebox.mc import (
     simulate_twobox,
     simulate_window,
 )
-from collapsebox.scenarios import Schedule, TimeDensity, TwoBoxScenario, WindowSpec
+from collapsebox.scenarios import Schedule, TimeDensity
 
 P0 = make_distribution([0.3, 0.7])
 
 
-def asym_scenario():
-    return TwoBoxScenario(P0, make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0))))
+def asym_family():
+    return make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0)))
 
 
-def inst_scenario():
-    return TwoBoxScenario(P0, make_family(FamilySpec("instantaneous", P0)))
+def inst_family():
+    return make_family(FamilySpec("instantaneous", P0))
 
 
 class TestDeterminism:
     def test_identical_runs(self):
-        fam = asym_scenario().family
-        a = simulate_single(fam, P0, 0.5, SimConfig(10_000, 42))
-        b = simulate_single(fam, P0, 0.5, SimConfig(10_000, 42))
+        fam = asym_family()
+        a = simulate_single(fam, 0.5, SimConfig(10_000, 42))
+        b = simulate_single(fam, 0.5, SimConfig(10_000, 42))
         assert np.array_equal(a.counts, b.counts)
 
     def test_worker_invariance(self):
-        fam = asym_scenario().family
-        ref = simulate_single(fam, P0, 0.5, SimConfig(10_001, 9, workers=1))
+        fam = asym_family()
+        ref = simulate_single(fam, 0.5, SimConfig(10_001, 9, workers=1))
         for workers in (2, 3, 8):
-            alt = simulate_single(fam, P0, 0.5,
+            alt = simulate_single(fam, 0.5,
                                   SimConfig(10_001, 9, workers=workers))
             assert np.array_equal(ref.counts, alt.counts)
-        w = WindowSpec(1.0, TimeDensity("uniform", 1.0))
-        s = asym_scenario()
+        w = TimeDensity("uniform", 1.0)
+        s = asym_family()
         r1 = simulate_window(s, w, SimConfig(5_000, 3, workers=1))
         r8 = simulate_window(s, w, SimConfig(5_000, 3, workers=8))
         assert np.array_equal(r1.counts, r8.counts)
@@ -64,8 +64,8 @@ class TestDeterminism:
     def test_worker_invariance_across_blocks(self):
         # more replicas than one block: workers share several blocks
         n = 2 * _BLOCK + 1_001
-        w = WindowSpec(1.0, TimeDensity("uniform", 1.0))
-        s = asym_scenario()
+        w = TimeDensity("uniform", 1.0)
+        s = asym_family()
         ref = simulate_window(s, w, SimConfig(n, 13, workers=1))
         alt = simulate_window(s, w, SimConfig(n, 13, workers=2))
         assert ref.counts.sum() == n
@@ -79,8 +79,8 @@ class TestDeterminism:
         assert default_workers() == 1
 
     def test_single_replica_reproducible(self):
-        fam = inst_scenario().family
-        outs = {tuple(simulate_single(fam, P0, 0.0, SimConfig(1, 123)).counts)
+        fam = inst_family()
+        outs = {tuple(simulate_single(fam, 0.0, SimConfig(1, 123)).counts)
                 for _ in range(5)}
         assert len(outs) == 1
         assert sum(next(iter(outs))) == 1
@@ -102,11 +102,10 @@ class TestBlockAndWorkerInvariance:
            workers=st.integers(1, 4), block=st.integers(1, 700))
     def test_counts_independent_of_split(self, n, seed, workers, block):
         fam = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
-        s = TwoBoxScenario(P0, fam)
-        w = WindowSpec(1.0, TimeDensity("truncexp", 1.0, rate=2.0))
-        runs = (lambda cfg: simulate_single(fam, P0, 0.4, cfg),
-                lambda cfg: simulate_twobox(s, Schedule(0.0, 0.4, 0), cfg),
-                lambda cfg: simulate_window(s, w, cfg))
+        w = TimeDensity("truncexp", 1.0, rate=2.0)
+        runs = (lambda cfg: simulate_single(fam, 0.4, cfg),
+                lambda cfg: simulate_twobox(fam, Schedule(0.0, 0.4, 0), cfg),
+                lambda cfg: simulate_window(fam, w, cfg))
         ref = [run(SimConfig(n, seed)).counts for run in runs]
         with mock.patch.object(mc, "_BLOCK", block):
             alt = [run(SimConfig(n, seed, workers)).counts for run in runs]
@@ -122,19 +121,19 @@ class TestSimulateSingle:
         fam = make_family(FamilySpec("linear", p, dt=(0.2, 0.4, 0.6)))
         monkeypatch.setattr(mc, "replica_uniforms",
                             lambda seed, lo, hi: np.zeros((hi - lo, 4)))
-        e = simulate_single(fam, p, 1.0, SimConfig(10, 0))
+        e = simulate_single(fam, 1.0, SimConfig(10, 0))
         assert e.counts[0] == 0 and e.counts.sum() == 10
 
     def test_instantaneous_recovers_prior(self):
-        fam = inst_scenario().family
-        e = simulate_single(fam, P0, 0.7, SimConfig(100_000, 5))
+        fam = inst_family()
+        e = simulate_single(fam, 0.7, SimConfig(100_000, 5))
         lo, hi = e.wilson_interval()
         assert np.all(lo <= P0.weights) and np.all(P0.weights <= hi)
 
     def test_asymmetric_matches_analytic(self):
-        fam = asym_scenario().family
-        e = simulate_single(fam, P0, 0.5, SimConfig(200_000, 6))
-        ana = marginal_at(fam, P0, 0.5).weights
+        fam = asym_family()
+        e = simulate_single(fam, 0.5, SimConfig(200_000, 6))
+        ana = marginal_at(fam, 0.5).weights
         se = np.sqrt(ana * (1 - ana) / e.n)
         assert np.all(np.abs(e.freqs - ana) <= 4 * se)
 
@@ -148,27 +147,27 @@ class TestSimulateSingle:
             kind, dt, rates = kinds[i % len(kinds)]
             fam = make_family(FamilySpec(kind, p, dt=dt, rates=rates))
             s = float(rng.uniform(0, max(fam.dt_max, 1.0)))
-            e = simulate_single(fam, p, s, SimConfig(100_000, 1000 + i))
-            ana = marginal_at(fam, p, s).weights
+            e = simulate_single(fam, s, SimConfig(100_000, 1000 + i))
+            ana = marginal_at(fam, s).weights
             se = np.sqrt(np.maximum(ana * (1 - ana), 1e-12) / e.n)
             assert np.all(np.abs(e.freqs - ana) <= 4 * se + 1e-4)
 
 
 class TestSimulateTwobox:
     def test_x0_prior(self):
-        e = simulate_twobox(asym_scenario(), Schedule(0.0, 0.5, 0),
+        e = simulate_twobox(asym_family(), Schedule(0.0, 0.5, 0),
                             SimConfig(100_000, 21))
         lo, hi = e.wilson_interval()
         assert np.all(lo <= P0.weights) and np.all(P0.weights <= hi)
 
     def test_x1_instantaneous_prior(self):
-        e = simulate_twobox(inst_scenario(), Schedule(0.0, 0.5, 1),
+        e = simulate_twobox(inst_family(), Schedule(0.0, 0.5, 1),
                             SimConfig(100_000, 22))
         lo, hi = e.wilson_interval()
         assert np.all(lo <= P0.weights) and np.all(P0.weights <= hi)
 
     def test_x1_asymmetric_analytic(self):
-        e = simulate_twobox(asym_scenario(), Schedule(0.0, 0.5, 1),
+        e = simulate_twobox(asym_family(), Schedule(0.0, 0.5, 1),
                             SimConfig(200_000, 23))
         ana = np.array([0.51, 0.49])
         se = np.sqrt(ana * (1 - ana) / e.n)
@@ -177,26 +176,24 @@ class TestSimulateTwobox:
 
 class TestSimulateWindow:
     def test_instantaneous_prior(self):
-        w = WindowSpec(1.0, TimeDensity("uniform", 1.0))
-        e = simulate_window(inst_scenario(), w, SimConfig(100_000, 31))
+        w = TimeDensity("uniform", 1.0)
+        e = simulate_window(inst_family(), w, SimConfig(100_000, 31))
         lo, hi = e.wilson_interval()
         assert np.all(lo <= P0.weights) and np.all(P0.weights <= hi)
 
     def test_deviation_scales_with_theta(self):
         # same family, two window lengths: tighter window -> larger deviation
-        s = TwoBoxScenario(P0, make_family(FamilySpec("linear", P0,
-                                                      dt=(0.25, 1.0))))
+        s = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
         tvs = []
         for width in (1.0, 4.0):
-            w = WindowSpec(width, TimeDensity("uniform", width))
+            w = TimeDensity("uniform", width)
             e = simulate_window(s, w, SimConfig(400_000, 37))
             tvs.append(0.5 * np.abs(e.freqs - P0.weights).sum())
         assert tvs[0] > tvs[1]
 
     def test_signaling_deviation_significant(self):
-        s = TwoBoxScenario(P0, make_family(FamilySpec("linear", P0,
-                                                      dt=(0.25, 1.0))))
-        w = WindowSpec(1.0, TimeDensity("uniform", 1.0))
+        s = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
+        w = TimeDensity("uniform", 1.0)
         e = simulate_window(s, w, SimConfig(400_000, 41))
         tv = 0.5 * np.abs(e.freqs - P0.weights).sum()
         se = float(np.sqrt(P0.weights[0] * P0.weights[1] / e.n))
@@ -205,11 +202,11 @@ class TestSimulateWindow:
 
 class TestGofTest:
     def test_calibration_under_null(self):
-        fam = inst_scenario().family
+        fam = inst_family()
         rejects = 0
         n_seeds = 400
         for seed in range(n_seeds):
-            e = simulate_single(fam, P0, 0.5, SimConfig(2_000, 10_000 + seed))
+            e = simulate_single(fam, 0.5, SimConfig(2_000, 10_000 + seed))
             if gof_test(e, P0, alpha=0.01).reject:
                 rejects += 1
         # binomial(400, 0.01): generous 0..7 acceptance band

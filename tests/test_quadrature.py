@@ -40,6 +40,13 @@ class TestIntegrate:
         r = integrate(ramp, 0.0, 1.0, tol=1e-12, breakpoints=(0.3,))
         assert r.value == pytest.approx(exact, abs=1e-13)
 
+    def test_jump_at_breakpoint(self):
+        # each piece reads its right end as a left limit, so neither piece
+        # sees the jump and neither bisects towards it
+        r = integrate(lambda t: float(t >= 0.5), 0.0, 1.0, breakpoints=(0.5,))
+        assert r.value == 0.5
+        assert r.evaluations <= 20
+
     def test_max_depth_reports_best_value(self):
         with pytest.raises(MaxDepthExceeded) as exc:
             integrate(lambda t: t**-0.5 if t > 0 else 0.0, 0.0, 1.0,

@@ -13,8 +13,6 @@ from collapsebox.errors import (
 from collapsebox.scenarios import (
     Schedule,
     TimeDensity,
-    TwoBoxScenario,
-    WindowSpec,
     bob_marginal,
     density_from_dict,
     density_to_dict,
@@ -33,11 +31,11 @@ P0 = make_distribution([0.3, 0.7])
 
 
 def uniform_window(width=1.0):
-    return WindowSpec(width, TimeDensity("uniform", width))
+    return TimeDensity("uniform", width)
 
 
 def truncexp_window(width=1.0, rate=2.0):
-    return WindowSpec(width, TimeDensity("truncexp", width, rate=rate))
+    return TimeDensity("truncexp", width, rate=rate)
 
 
 def table_window(width=1.0):
@@ -45,20 +43,19 @@ def table_window(width=1.0):
     t = np.linspace(0, width, 9)
     v = np.minimum(t, width - t)
     v = v / np.trapezoid(v, t)
-    return WindowSpec(width, TimeDensity("table", width, grid_times=t, grid_values=v))
+    return TimeDensity("table", width, grid_times=t, grid_values=v)
 
 
 def five_knot_window():
     # uneven knots: h has kinks at all ten distinct knot differences
     t = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
     v = np.array([0.4, 1.4, 0.8, 1.5, 0.6])
-    return WindowSpec(1.0, TimeDensity("table", 1.0, grid_times=t,
-                                       grid_values=v / np.trapezoid(v, t)))
+    return TimeDensity("table", 1.0, grid_times=t, grid_values=v / np.trapezoid(v, t))
 
 
-def scenario(kind="frozen", dt=(0.0, 1.0), rates=None):
+def family(kind="frozen", dt=(0.0, 1.0), rates=None):
     spec = FamilySpec(kind, P0, dt=dt if rates is None else None, rates=rates)
-    return TwoBoxScenario(P0, make_family(spec))
+    return make_family(spec)
 
 
 class TestTimeDensity:
@@ -69,22 +66,22 @@ class TestTimeDensity:
 
     def test_sampling_matches_pdf(self):
         rng = np.random.default_rng(1)
-        for w in (uniform_window(), truncexp_window(), table_window()):
+        for g in (uniform_window(), truncexp_window(), table_window()):
             u = rng.random(200_000)
-            draws = w.g.sample(u)
-            assert draws.min() >= 0 and draws.max() <= w.dt_window
+            draws = g.sample(u)
+            assert draws.min() >= 0 and draws.max() <= g.width
             # empirical CDF at a few probe points vs integrated pdf
             for q in (0.25, 0.5, 0.75):
                 emp = (draws <= q).mean()
                 from collapsebox.quadrature import integrate
-                ana = integrate(w.g.pdf, 0.0, q, tol=1e-10,
-                                breakpoints=w.g.breakpoints()).value
+                ana = integrate(g.pdf, 0.0, q, tol=1e-10,
+                                breakpoints=g.breakpoints()).value
                 se = np.sqrt(ana * (1 - ana) / draws.size)
                 assert abs(emp - ana) <= 4 * se + 1e-3
 
     def test_table_inverse_cdf_exact(self):
         # F by the trapezoid rule on the knots, the density's own integral
-        g = five_knot_window().g
+        g = five_knot_window()
         t, v = g.grid_times, g.grid_values
         knot_cdf = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
 
@@ -118,29 +115,27 @@ class TestTimeDensity:
             TimeDensity("table", 1.0, grid_times=[0.0, bad, 1.0], grid_values=[1.0, 1.0, 1.0])
         with pytest.raises((InvalidSpec, NotNormalized)):
             TimeDensity("table", 1.0, grid_times=[0.0, 0.5, 1.0], grid_values=[1.0, bad, 1.0])
-        with pytest.raises(InvalidSpec):
-            WindowSpec(bad, TimeDensity("uniform", 1.0))
 
 
 class TestBobMarginal:
     def test_nct_choice_gives_prior(self):
-        s = scenario()
+        s = family()
         for elapsed in (0.0, 0.3, 2.0):
             assert np.allclose(bob_marginal(s, 0, elapsed).weights, P0.weights)
 
     def test_instantaneous_matches_prior(self):
-        s = scenario("instantaneous", dt=None)
+        s = family("instantaneous", dt=None)
         for elapsed in (0.0, 0.3, 2.0):
             assert np.abs(bob_marginal(s, 1, elapsed).weights
                           - P0.weights).max() <= 1e-12
 
     def test_asymmetric_hand_value(self):
-        s = scenario("frozen", dt=(0.0, 1.0))
+        s = family("frozen", dt=(0.0, 1.0))
         assert np.allclose(bob_marginal(s, 1, 0.5).weights, [0.51, 0.49],
                            atol=1e-14)
 
     def test_constant_in_time_for_x0(self):
-        s = scenario("frozen", dt=(0.2, 0.9))
+        s = family("frozen", dt=(0.2, 0.9))
         ref = bob_marginal(s, 0, 0.0)
         for elapsed in np.linspace(0, 2, 17):
             assert np.array_equal(bob_marginal(s, 0, float(elapsed)).weights,
@@ -148,7 +143,7 @@ class TestBobMarginal:
 
     def test_negative_elapsed(self):
         with pytest.raises(NegativeElapsed):
-            bob_marginal(scenario(), 1, -0.1)
+            bob_marginal(family(), 1, -0.1)
 
 
 class TestTheta:
@@ -180,8 +175,8 @@ class TestTheta:
         w = make_w()
         n = 200_000
         rng = np.random.default_rng(19)
-        ta = w.g.sample(rng.random(n))
-        tb = w.g.sample(rng.random(n))
+        ta = w.sample(rng.random(n))
+        tb = w.sample(rng.random(n))
         for d in (0.2, 0.5):
             emp = (np.abs(tb - ta) <= d).mean()
             ana = theta(w, d)
@@ -205,8 +200,8 @@ class TestOmega:
         w = make_w()
         n = 200_000
         rng = np.random.default_rng(29)
-        ta = w.g.sample(rng.random(n))
-        tb = w.g.sample(rng.random(n))
+        ta = w.sample(rng.random(n))
+        tb = w.sample(rng.random(n))
         for d in (0.3, 0.7):
             diff = tb - ta
             emp = ((diff >= 0) & (diff <= d)).mean()
@@ -218,7 +213,7 @@ class TestOmega:
         from collapsebox.quadrature import integrate
         for w in (uniform_window(), truncexp_window(), table_window(),
                   five_knot_window()):
-            r = integrate(lambda u: difference_density(w, u), 0.0, w.dt_window,
+            r = integrate(lambda u: difference_density(w, u), 0.0, w.width,
                           tol=1e-8)
             assert r.value == pytest.approx(0.5, abs=1e-6)
 
@@ -227,34 +222,34 @@ class TestWindowMarginal:
     @pytest.mark.parametrize("make_w", [uniform_window, truncexp_window,
                                         table_window])
     def test_instantaneous_family_gives_prior(self, make_w):
-        s = scenario("instantaneous", dt=None)
+        s = family("instantaneous", dt=None)
         m = window_marginal(s, make_w())
         assert np.abs(m.weights - P0.weights).max() <= 1e-9
 
     def test_zero_dt_min_gives_prior(self):
         # the paper's formula: no mass of h lies below dt_min = 0
-        s = scenario("frozen", dt=(0.0, 1.0))  # shortest collapse time is 0
+        s = family("frozen", dt=(0.0, 1.0))  # shortest collapse time is 0
         m = window_marginal_two_term(s, uniform_window())
         assert np.array_equal(m.weights, P0.weights)
 
     def test_exact_frozen_hand_value(self):
         # Alice first (mass 1/2): latent 0 is a delta, latent 1 still reads
         # P0, so Bob sees (0.51, 0.49); Bob first: P0
-        s = scenario("frozen", dt=(0.0, 1.0))
+        s = family("frozen", dt=(0.0, 1.0))
         m = window_marginal(s, uniform_window())
         assert np.abs(m.weights - [0.405, 0.595]).max() <= 1e-12
 
     def test_five_knot_table_against_pair_sampling(self):
         # input times by rejection sampling, not the library's inverse CDF
         w = five_knot_window()
-        s = scenario("linear", dt=(0.3, 0.8))
+        s = family("linear", dt=(0.3, 0.8))
         n = 400_000
         rng = np.random.default_rng(47)
-        top = w.g.grid_values.max()
+        top = w.grid_values.max()
         times = []
         while sum(t.size for t in times) < 2 * n:
             t = rng.random(4 * n)
-            times.append(t[rng.random(4 * n) * top <= w.g.pdf(t)])
+            times.append(t[rng.random(4 * n) * top <= w.pdf(t)])
         t_a, t_b = np.concatenate(times)[:2 * n].reshape(2, n)
         latent = (rng.random(n) > P0[0]).astype(int)
         fresh = (rng.random(n) > P0[0]).astype(int)
@@ -266,14 +261,14 @@ class TestWindowMarginal:
         assert abs(freq1 - ana) <= 4 * np.sqrt(ana * (1 - ana) / n)
 
     def test_finite_dt_valid_distribution(self):
-        s = scenario("linear", dt=(0.25, 1.0))
+        s = family("linear", dt=(0.25, 1.0))
         m = window_marginal(s, uniform_window())
         assert abs(float(m.weights.sum()) - 1.0) <= 1e-6
         assert np.all(m.weights >= 0)
         assert tv_distance(m, P0) > 0
 
     def test_marginal_preserving_family_gives_prior(self):
-        s = scenario("linear", dt=(1.0, 1.0))
+        s = family("linear", dt=(1.0, 1.0))
         m = window_marginal(s, uniform_window())
         assert np.abs(m.weights - P0.weights).max() <= 1e-7
 
@@ -290,7 +285,7 @@ class TestWindowProperties:
     @settings(max_examples=40, deadline=None)
     @given(w=windows, frac=st.floats(0.0, 1.2))
     def test_theta_is_twice_omega(self, w, frac):
-        d = frac * w.dt_window
+        d = frac * w.width
         # exact below the window length; beyond it theta is 1 and omega is
         # the whole mass 1/2 of h, to the quadrature tolerance
         assert theta(w, d) == pytest.approx(2.0 * omega(w, d), abs=1e-9)
@@ -300,8 +295,8 @@ class TestWindowProperties:
            dt=st.floats(0.0, 4.0), first=st.floats(0.05, 0.95))
     def test_equal_collapse_times_give_prior(self, w, kind, dt, first):
         p0 = make_distribution([first, 1.0 - first])
-        s = TwoBoxScenario(p0, make_family(FamilySpec(kind, p0, dt=(dt, dt))))
-        assert np.abs(window_marginal(s, w).weights - p0.weights).max() <= 1e-12
+        f = make_family(FamilySpec(kind, p0, dt=(dt, dt)))
+        assert np.abs(window_marginal(f, w).weights - p0.weights).max() <= 1e-12
 
 
 class TestScheduleAndSerialization:
@@ -313,17 +308,13 @@ class TestScheduleAndSerialization:
         with pytest.raises(InvalidSpec):
             Schedule(0.0, 1.0, 2)
 
-    def test_window_spec_validation(self):
-        with pytest.raises(InvalidSpec):
-            WindowSpec(2.0, TimeDensity("uniform", 1.0))
-
     def test_roundtrips(self):
         for w in (uniform_window(), truncexp_window(), table_window()):
             w2 = window_from_dict(window_to_dict(w))
-            assert w2.dt_window == w.dt_window and w2.g.kind == w.g.kind
+            assert w2.width == w.width and w2.kind == w.kind
         sch = Schedule(0.0, 0.5, 1)
         sch2 = schedule_from_dict(schedule_to_dict(sch))
         assert sch2 == sch
-        g = truncexp_window().g
+        g = truncexp_window()
         g2 = density_from_dict(density_to_dict(g), 1.0)
         assert g2.rate == g.rate

@@ -7,7 +7,6 @@ from collapsebox.behaviors import make_distribution
 from collapsebox.collapse import FamilySpec, make_family
 from collapsebox.errors import EmptyGrid, InvalidSpec
 from collapsebox.mc import SimConfig
-from collapsebox.scenarios import TwoBoxScenario
 from collapsebox.signaling import (
     InducedChannel,
     channel_capacity,
@@ -19,12 +18,12 @@ from collapsebox.signaling import (
 P0 = make_distribution([0.3, 0.7])
 
 
-def scenario(kind="frozen", dt=(0.0, 1.0)):
-    return TwoBoxScenario(P0, make_family(FamilySpec(kind, P0, dt=dt)))
+def family(kind="frozen", dt=(0.0, 1.0)):
+    return make_family(FamilySpec(kind, P0, dt=dt))
 
 
-def inst_scenario():
-    return TwoBoxScenario(P0, make_family(FamilySpec("instantaneous", P0)))
+def inst_family():
+    return make_family(FamilySpec("instantaneous", P0))
 
 
 def capacity_grid_oracle(rows, resolution=10**-4):
@@ -62,36 +61,36 @@ _row_pairs = st.integers(2, 6).flatmap(lambda k: st.tuples(_law(k), _law(k))).ma
 
 class TestWitness:
     def test_instantaneous_consistent(self):
-        rep = witness(inst_scenario(), 0.5, SimConfig(50_000, 1))
+        rep = witness(inst_family(), 0.5, SimConfig(50_000, 1))
         assert rep.tv_analytic <= 1e-12
         assert not rep.signaling
         assert rep.verdict == "non-signaling"
 
     def test_asymmetric_value_and_verdict(self):
-        rep = witness(scenario(), 0.5, SimConfig(100_000, 2))
+        rep = witness(family(), 0.5, SimConfig(100_000, 2))
         assert rep.tv_analytic == pytest.approx(0.21, abs=1e-12)
         assert rep.signaling
         assert rep.ci_lo <= rep.tv_empirical <= rep.ci_hi
 
     def test_zero_beyond_longest_collapse(self):
-        s = scenario("frozen", dt=(0.3, 0.9))
+        s = family("frozen", dt=(0.3, 0.9))
         for elapsed in (0.9, 1.0, 5.0):
             rep = witness(s, elapsed)
             assert rep.tv_analytic <= 1e-12
 
     def test_analytic_only_mode(self):
-        rep = witness(scenario(), 0.5)
+        rep = witness(family(), 0.5)
         assert rep.tv_empirical is None and rep.pvalue is None
         assert rep.signaling  # analytic-only verdict
 
 
 class TestWitnessSweep:
     def test_instantaneous_flat_zero(self):
-        reports = witness_sweep(inst_scenario(), np.linspace(0, 1, 11))
+        reports = witness_sweep(inst_family(), np.linspace(0, 1, 11))
         assert all(r.tv_analytic <= 1e-12 for r in reports)
 
     def test_rise_and_return(self):
-        s = scenario("frozen", dt=(0.2, 1.0))
+        s = family("frozen", dt=(0.2, 1.0))
         reports = witness_sweep(s, np.linspace(0, 1.0, 21))
         tvs = [r.tv_analytic for r in reports]
         assert tvs[0] <= 1e-12
@@ -99,13 +98,13 @@ class TestWitnessSweep:
         assert max(tvs) > 0.1
 
     def test_single_point(self):
-        reports = witness_sweep(scenario(), [0.5])
+        reports = witness_sweep(family(), [0.5])
         assert len(reports) == 1
         assert reports[0].tv_analytic == pytest.approx(0.21, abs=1e-12)
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
-            witness_sweep(scenario(), [])
+            witness_sweep(family(), [])
 
 
 class TestChannelCapacity:
@@ -133,7 +132,7 @@ class TestChannelCapacity:
     def test_capacity_zero_iff_tv_zero(self):
         for kind, dt in (("instantaneous", None), ("frozen", (0.0, 1.0)),
                          ("linear", (1.0, 1.0)), ("linear", (0.25, 1.0))):
-            s = TwoBoxScenario(P0, make_family(FamilySpec(kind, P0, dt=dt)))
+            s = family(kind, dt)
             for elapsed in (0.1, 0.5):
                 rep = witness(s, elapsed)
                 cap = channel_capacity(induced_channel(s, elapsed))
@@ -173,7 +172,7 @@ class TestChannelCapacity:
 
 class TestVerdictCalibration:
     def test_instantaneous_false_positive_rate(self):
-        s = inst_scenario()
+        s = inst_family()
         alpha = 0.01
         detections = 0
         n_seeds = 300
