@@ -13,7 +13,6 @@ Run:  python3 demos/demo_single_box.py
 import numpy as np
 
 from collapsebox import (
-    FamilySpec,
     make_distribution,
     make_family,
     marginal_at,
@@ -24,19 +23,18 @@ from collapsebox import (
 P0 = make_distribution([0.3, 0.7])
 
 FAMILIES = {
-    "instantaneous": FamilySpec("instantaneous", P0),
-    "linear, equal durations": FamilySpec("linear", P0, dt=(1.0, 1.0)),
-    "linear, unequal durations": FamilySpec("linear", P0, dt=(0.25, 1.0)),
-    "hold-then-jump (0, 1)": FamilySpec("frozen", P0, dt=(0.0, 1.0)),
-    "exponential, rates (2, 3)": FamilySpec("exponential", P0, rates=(2.0, 3.0)),
+    "instantaneous": make_family("instantaneous", P0),
+    "linear, equal durations": make_family("linear", P0, dt=(1.0, 1.0)),
+    "linear, unequal durations": make_family("linear", P0, dt=(0.25, 1.0)),
+    "hold-then-jump (0, 1)": make_family("frozen", P0, dt=(0.0, 1.0)),
+    "exponential, rates (2, 3)": make_family("exponential", P0, rates=(2.0, 3.0)),
 }
 
 
 def main():
     print(f"prior P0 = {P0.weights}")
     print()
-    for label, spec in FAMILIES.items():
-        fam = make_family(spec)
+    for label, fam in FAMILIES.items():
         grid = np.linspace(0.0, max(fam.dt_max, 1.0), 400)
         rep = validate_family(fam, grid)
         print(f"--- {label} ---")

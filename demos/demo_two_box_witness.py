@@ -14,7 +14,6 @@ Run:  python3 demos/demo_two_box_witness.py
 import numpy as np
 
 from collapsebox import (
-    FamilySpec,
     SimConfig,
     channel_capacity,
     induced_channel,
@@ -28,7 +27,7 @@ P0 = make_distribution([0.3, 0.7])
 
 def main():
     # outcome 0 collapses instantly, outcome 1 holds the prior for 1 s
-    fam = make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0)))
+    fam = make_family("frozen", P0, dt=(0.0, 1.0))
     cfg = SimConfig(n=200_000, seed=11)
 
     grid = np.linspace(0.0, 1.0, 11)

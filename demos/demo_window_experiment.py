@@ -15,7 +15,6 @@ Run:  python3 demos/demo_window_experiment.py
 import numpy as np
 
 from collapsebox import (
-    FamilySpec,
     SimConfig,
     TimeDensity,
     make_distribution,
@@ -31,7 +30,7 @@ P0 = make_distribution([0.3, 0.7])
 
 
 def main():
-    fam = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
+    fam = make_family("linear", P0, dt=(0.25, 1.0))
 
     print(f"prior P0 = {P0.weights}, collapse durations dt = {fam.dt}")
     print()

@@ -20,7 +20,6 @@ from .behaviors import (
 )
 from .collapse import (
     CollapseFamily,
-    FamilySpec,
     make_family,
     marginal_at,
     single_box_witness,

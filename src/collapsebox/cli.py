@@ -18,14 +18,8 @@ import numpy as np
 
 from . import __version__
 from .behaviors import make_distribution
-from .collapse import (
-    CollapseFamily,
-    FamilySpec,
-    family_spec_from_dict,
-    make_family,
-    validate_family,
-)
-from .errors import CollapseBoxError, EmptyGrid, FormulaInconsistency
+from .collapse import CollapseFamily, family_from_dict, make_family, validate_family
+from .errors import CollapseBoxError, EmptyGrid, InvalidSpec, required
 from .mc import SimConfig, default_workers, empirical_rows, gof_test, simulate_twobox, simulate_window
 from .scenarios import (
     Schedule,
@@ -38,18 +32,6 @@ from .scenarios import (
     window_marginal,
 )
 from .signaling import channel_capacity, induced_channel, witness_sweep
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    scenario_path: str
-    out_dir: str
-    seed: int = 0
-    n: int = 100_000
-    alpha: float = 0.01
-    grid: str | None = None
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -68,8 +50,8 @@ class ScenarioBundle:
 def load_scenario(path: str, validate: bool = True) -> ScenarioBundle:
     with open(path) as fh:
         raw = json.load(fh)
-    spec = family_spec_from_dict(raw["family"], p0=make_distribution(raw["p0"]))
-    family = make_family(spec, validate=validate)
+    p0 = make_distribution(required(raw, "p0", "scenario"))
+    family = family_from_dict(required(raw, "family", "scenario"), p0, validate=validate)
     window = window_from_dict(raw["window"]) if "window" in raw else None
     schedule = schedule_from_dict(raw["schedule"]) if "schedule" in raw else None
     return ScenarioBundle(family, window, schedule, raw)
@@ -97,12 +79,20 @@ def write_csv(path: str, header_meta: dict, columns, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _meta(manifest: RunManifest, bundle: ScenarioBundle) -> dict:
+def _meta(args: argparse.Namespace, bundle: ScenarioBundle) -> dict:
     return {
         "scenario": scenario_hash(bundle.raw),
-        "seed": manifest.seed,
+        "seed": args.seed,
         "version": __version__,
     }
+
+
+def _number(token: str, conv=float):
+    """One grid value; a malformed one is an InvalidSpec naming it."""
+    try:
+        return conv(token)
+    except ValueError:
+        raise InvalidSpec(f"bad grid value {token!r}") from None
 
 
 def parse_time_grid(spec: str | None, family: CollapseFamily):
@@ -122,9 +112,14 @@ def parse_time_grid(spec: str | None, family: CollapseFamily):
     if not spec:
         raise EmptyGrid("empty time grid")
     if ":" in spec:
-        a, b, n = spec.split(":")
-        return np.linspace(float(a), float(b), int(n))
-    return np.array([float(v) for v in spec.split(",")])
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise InvalidSpec(f"time grid {spec!r} is not 'a:b:n'")
+        a, b, n = _number(parts[0]), _number(parts[1]), _number(parts[2], int)
+        if n < 0:
+            raise InvalidSpec(f"time grid {spec!r} has a negative point count")
+        return np.linspace(a, b, n)
+    return np.array([_number(v) for v in spec.split(",")])
 
 
 def parse_sweep_grid(spec: str | None) -> dict:
@@ -138,12 +133,16 @@ def parse_sweep_grid(spec: str | None) -> dict:
         if key not in ("dt", "dt_window", "n"):
             raise CollapseBoxError(f"unknown sweep parameter {key!r}")
         conv = int if key == "n" else float
-        grid[key] = [conv(v) for v in vals.split(",")]
+        grid[key] = [_number(v, conv) for v in vals.split(",")]
     return grid
 
 
-def cmd_validate(manifest: RunManifest) -> int:
-    bundle = load_scenario(manifest.scenario_path, validate=False)
+def _config(args: argparse.Namespace, n: int | None = None) -> SimConfig:
+    return SimConfig(args.n if n is None else n, args.seed, args.workers)
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    bundle = load_scenario(args.scenario, validate=False)
     fam = bundle.family
     grid = np.linspace(0.0, max(fam.dt_max, 1.0), 1000)
     report = validate_family(fam, grid)
@@ -159,20 +158,19 @@ def cmd_validate(manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_witness(manifest: RunManifest) -> int:
-    bundle = load_scenario(manifest.scenario_path)
+def cmd_witness(args: argparse.Namespace) -> int:
+    bundle = load_scenario(args.scenario)
     f = bundle.family
-    grid = parse_time_grid(manifest.grid, f)
+    grid = parse_time_grid(args.grid, f)
     if grid.size == 0:
         raise EmptyGrid("witness grid is empty")
-    cfg = SimConfig(manifest.n, manifest.seed, manifest.workers)
-    reports = witness_sweep(f, grid, cfg, alpha=manifest.alpha)
+    reports = witness_sweep(f, grid, _config(args), alpha=args.alpha)
 
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    out = os.path.join(manifest.out_dir, "witness.csv")
+    os.makedirs(args.out, exist_ok=True)
+    out = os.path.join(args.out, "witness.csv")
     cols = ("elapsed", "tv_analytic", "tv_empirical", "ci_lo", "ci_hi",
             "pvalue", "verdict")
-    write_csv(out, _meta(manifest, bundle), cols,
+    write_csv(out, _meta(args, bundle), cols,
               [(r.elapsed, r.tv_analytic, r.tv_empirical, r.ci_lo, r.ci_hi,
                 r.pvalue, r.verdict) for r in reports])
 
@@ -185,36 +183,32 @@ def cmd_witness(manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_simulate(manifest: RunManifest) -> int:
-    bundle = load_scenario(manifest.scenario_path)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    bundle = load_scenario(args.scenario)
     f, sched = bundle.family, bundle.schedule
-    cfg = SimConfig(manifest.n, manifest.seed, manifest.workers)
+    cfg = _config(args)
 
     if sched is not None:
         emp = simulate_twobox(f, sched, cfg)
         targets = [("analytic", bob_marginal(f, sched.x, sched.t_b - sched.t_a))]
     elif bundle.window is not None:
         emp = simulate_window(f, bundle.window, cfg)
-        targets = [("prior", f.p0)]
-        try:
-            targets.append(("analytic", window_marginal(f, bundle.window)))
-        except FormulaInconsistency as exc:
-            print(f"analytic window formula inconsistent, skipped: {exc}")
+        targets = [("prior", f.p0), ("analytic", window_marginal(f, bundle.window))]
     else:
         print("scenario has neither a schedule nor a window; nothing to simulate",
               file=sys.stderr)
         return 1
 
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    out = os.path.join(manifest.out_dir, "empirical.csv")
+    os.makedirs(args.out, exist_ok=True)
+    out = os.path.join(args.out, "empirical.csv")
     sid = scenario_hash(bundle.raw)
     cols = ("scenario_id", "seed", "n", "outcome", "count", "freq",
             "ci_lo", "ci_hi")
-    write_csv(out, _meta(manifest, bundle), cols,
-              [(sid, manifest.seed, manifest.n) + row
+    write_csv(out, _meta(args, bundle), cols,
+              [(sid, args.seed, args.n) + row
                for row in empirical_rows(emp)])
     for name, ref in targets:
-        gof = gof_test(emp, ref, alpha=manifest.alpha)
+        gof = gof_test(emp, ref, alpha=args.alpha)
         tag = "reject" if gof.reject else "pass"
         stat = "" if gof.statistic is None else f" stat={gof.statistic:.4g}"
         print(f"gof vs {name}: p={gof.pvalue:.4g}{stat} [{gof.method}] -> {tag}")
@@ -231,7 +225,7 @@ def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
             raise CollapseBoxError(
                 f"dt sweep is not supported for kind {family.kind!r}")
         kind = family.kind if family.kind != "instantaneous" else "linear"
-        family = make_family(FamilySpec(kind, family.p0, dt=(float(dt),) * family.size))
+        family = make_family(kind, family.p0, dt=(float(dt),) * family.size)
     if dt_window is not None:
         if window is None:
             raise CollapseBoxError("dt_window sweep needs a window in the scenario")
@@ -241,18 +235,18 @@ def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
     return family, window
 
 
-def cmd_sweep(manifest: RunManifest) -> int:
-    bundle = load_scenario(manifest.scenario_path)
-    grid = parse_sweep_grid(manifest.grid)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    bundle = load_scenario(args.scenario)
+    grid = parse_sweep_grid(args.grid)
     keys = list(grid)
     cells = list(itertools.product(*(grid[k] for k in keys)))
 
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    out = os.path.join(manifest.out_dir, "sweep.csv")
-    partial = os.path.join(manifest.out_dir, "MANIFEST.partial")
+    os.makedirs(args.out, exist_ok=True)
+    out = os.path.join(args.out, "sweep.csv")
+    partial = os.path.join(args.out, "MANIFEST.partial")
     cols = tuple(keys) + ("theta", "omega", "max_tv", "elapsed_at_max",
                           "capacity", "verdict")
-    meta = " ".join(f"{k}={v}" for k, v in _meta(manifest, bundle).items())
+    meta = " ".join(f"{k}={v}" for k, v in _meta(args, bundle).items())
 
     with open(out, "w", newline="") as fh:
         fh.write(f"# {meta}\n")
@@ -262,10 +256,9 @@ def cmd_sweep(manifest: RunManifest) -> int:
             try:
                 f, window = _cell(bundle, dt=params.get("dt"),
                                   dt_window=params.get("dt_window"))
-                n = int(params.get("n", manifest.n))
-                cfg = SimConfig(n, manifest.seed, manifest.workers)
+                cfg = _config(args, params.get("n"))
                 tgrid = parse_time_grid(None, f)
-                reports = witness_sweep(f, tgrid, cfg, alpha=manifest.alpha)
+                reports = witness_sweep(f, tgrid, cfg, alpha=args.alpha)
                 best = max(reports, key=lambda r: r.tv_analytic)
                 cap = channel_capacity(induced_channel(f, best.elapsed))
                 verdict = ("signaling" if any(r.signaling for r in reports)
@@ -306,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--n", type=int, default=100_000, help="replica count")
     p.add_argument("--alpha", type=float, default=0.01,
-                   help="significance level for detection")
+                   help="significance level for detection, in (0, 1)")
     p.add_argument("--grid", default=None,
                    help="time grid 'a:b:n' or list for witness; "
                         "'param=v1,v2;...' for sweep (dt, dt_window, n)")
@@ -316,17 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        manifest = RunManifest(
-            command=args.command,
-            scenario_path=args.scenario,
-            out_dir=args.out,
-            seed=args.seed,
-            n=args.n,
-            alpha=args.alpha,
-            grid=args.grid,
-            workers=default_workers(),
-        )
-        return COMMANDS[args.command](manifest)
+        args.workers = default_workers()  # a malformed COLLAPSE_BOX_THREADS exits 1
+        return COMMANDS[args.command](args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

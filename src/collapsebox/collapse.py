@@ -26,6 +26,7 @@ from .errors import (
     InvalidSpec,
     TimeBeforeTrigger,
     TimeOutsideWindow,
+    required,
 )
 
 KINDS = ("instantaneous", "linear", "exponential", "frozen", "table")
@@ -33,22 +34,6 @@ KINDS = ("instantaneous", "linear", "exponential", "frozen", "table")
 # exponential families are clipped to an exact delta once the interpolation
 # weight reaches 1 - EXP_CUTOFF; this defines their finite dt_a
 EXP_CUTOFF = 1e-9
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Declarative description of a collapse family.
-
-    kind "frozen" holds the prior until dt_a, then jumps to the delta;
-    "table" interpolates user-supplied grids linearly.
-    """
-
-    kind: str
-    p0: Distribution
-    dt: tuple | None = None          # linear / frozen
-    rates: tuple | None = None       # exponential
-    grid_times: tuple | None = None  # table
-    grid_values: tuple | None = None  # table, shape (nt, n, n) nested lists
 
 
 @dataclass(frozen=True)
@@ -144,39 +129,40 @@ class ValidationReport:
         return max(self.worst, key=self.worst.get)
 
 
-def make_family(spec: FamilySpec, validate: bool = True) -> CollapseFamily:
-    """Construct a collapse family from its spec.
+def make_family(kind: str, p0: Distribution, *, dt=None, rates=None,
+                grid_times=None, grid_values=None, validate: bool = True) -> CollapseFamily:
+    """Construct a collapse family from its kind, its prior and the fields of its kind.
 
-    With `validate` (the default) the boundary clauses are checked on a
-    dense grid and violations raise; validation tooling passes False so it
-    can report the violated clause itself.
+    linear / frozen take one collapse duration per outcome (`dt`);
+    exponential takes one rate per outcome; table takes `grid_times` and
+    `grid_values` of shape (nt, n, n), interpolated linearly. "frozen"
+    holds the prior until dt_a, then jumps to the delta. Fields of other
+    kinds are ignored. With `validate` (the default) the boundary clauses
+    are checked on a dense grid and violations raise; validation tooling
+    passes False so it can report the violated clause itself.
     """
-    if spec.kind not in KINDS:
-        raise InvalidSpec(f"unknown family kind {spec.kind!r}")
-    n = spec.p0.size
+    if kind not in KINDS:
+        raise InvalidSpec(f"unknown family kind {kind!r}")
+    n = p0.size
 
-    if spec.kind == "instantaneous":
-        fam = CollapseFamily("instantaneous", spec.p0, np.zeros(n))
-    elif spec.kind in ("linear", "frozen"):
-        if spec.dt is None or len(spec.dt) != n:
-            raise InvalidSpec(f"kind {spec.kind!r} needs one dt per outcome")
-        dt = np.asarray(spec.dt, dtype=float)
+    if kind == "instantaneous":
+        fam = CollapseFamily("instantaneous", p0, np.zeros(n))
+    elif kind in ("linear", "frozen"):
+        dt = _per_outcome(dt, n, f"kind {kind!r} needs one dt per outcome")
         if not np.all(np.isfinite(dt) & (dt >= 0)):
             raise InvalidSpec("collapse durations must be finite and non-negative")
-        fam = CollapseFamily(spec.kind, spec.p0, dt)
-    elif spec.kind == "exponential":
-        if spec.rates is None or len(spec.rates) != n:
-            raise InvalidSpec("exponential kind needs one rate per outcome")
-        rates = np.asarray(spec.rates, dtype=float)
+        fam = CollapseFamily(kind, p0, dt)
+    elif kind == "exponential":
+        rates = _per_outcome(rates, n, "exponential kind needs one rate per outcome")
         if not np.all(np.isfinite(rates) & (rates > 0)):
             raise InvalidSpec("rates must be finite and positive")
         dt = -np.log(EXP_CUTOFF) / rates
-        fam = CollapseFamily("exponential", spec.p0, dt, rates=rates)
+        fam = CollapseFamily("exponential", p0, dt, rates=rates)
     else:  # table
-        if spec.grid_times is None or spec.grid_values is None:
+        if grid_times is None or grid_values is None:
             raise InvalidSpec("table kind needs grid_times and grid_values")
-        times = np.asarray(spec.grid_times, dtype=float)
-        values = np.asarray(spec.grid_values, dtype=float)
+        times = np.asarray(grid_times, dtype=float)
+        values = np.asarray(grid_values, dtype=float)
         if (times.ndim != 1 or times.size < 2 or not np.all(np.isfinite(times))
                 or np.any(np.diff(times) <= 0)):
             raise InvalidSpec("grid_times must be finite, strictly increasing, length >= 2")
@@ -187,8 +173,7 @@ def make_family(spec: FamilySpec, validate: bool = True) -> CollapseFamily:
                 f"grid_values shape {values.shape} != {(times.size, n, n)}"
             )
         dt = _table_collapse_times(times, values, n, strict=validate)
-        fam = CollapseFamily("table", spec.p0, dt, grid_times=times,
-                             grid_values=values)
+        fam = CollapseFamily("table", p0, dt, grid_times=times, grid_values=values)
 
     if validate:
         grid = np.linspace(0.0, max(fam.dt_max, 1e-6), 257)
@@ -199,6 +184,17 @@ def make_family(spec: FamilySpec, validate: bool = True) -> CollapseFamily:
                 f"by {max(report.worst.values()):.3e}"
             )
     return fam
+
+
+def _per_outcome(values, n: int, message: str) -> np.ndarray:
+    """`values` as a float vector of length n; anything else is an InvalidSpec."""
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidSpec(message) from None
+    if v.shape != (n,):
+        raise InvalidSpec(message)
+    return v
 
 
 def _table_collapse_times(times, values, n, strict=True):
@@ -270,37 +266,27 @@ def single_box_witness(f: CollapseFamily, elapsed: float) -> float:
 
 # --- serialization (external interface) ---
 
-def family_spec_to_dict(spec: FamilySpec) -> dict:
-    d = {"kind": spec.kind, "p0": list(map(float, spec.p0.weights))}
-    if spec.dt is not None:
-        d["dt"] = list(map(float, spec.dt))
-    if spec.rates is not None:
-        d["rates"] = list(map(float, spec.rates))
-    if spec.grid_times is not None:
-        d["grid"] = {
-            "times": list(map(float, spec.grid_times)),
-            "values": np.asarray(spec.grid_values, dtype=float).tolist(),
-        }
+def family_to_dict(f: CollapseFamily) -> dict:
+    """The JSON form `family_from_dict` reads: the kind, P0 and the kind's own fields."""
+    d = {"kind": f.kind, "p0": f.p0.weights.tolist()}
+    if f.kind in ("linear", "frozen"):
+        d["dt"] = f.dt.tolist()
+    elif f.kind == "exponential":
+        d["rates"] = f.rates.tolist()
+    elif f.kind == "table":
+        d["grid"] = {"times": f.grid_times.tolist(), "values": f.grid_values.tolist()}
     return d
 
 
-def family_spec_from_dict(d: dict, p0: Distribution | None = None) -> FamilySpec:
-    """Parse a FamilySpec; `p0` supplies the prior when the dict omits it."""
+def family_from_dict(d: dict, p0: Distribution, validate: bool = True) -> CollapseFamily:
+    """Build the family a scenario's "family" object describes, bound to the
+    scenario prior `p0`; a "p0" of the family's own must agree with it."""
+    kind = required(d, "kind", "family")
     if "p0" in d:
         prior = make_distribution(d["p0"])
-        if p0 is not None and (prior.size != p0.size
-                               or np.abs(prior.weights - p0.weights).max() > 1e-12):
+        if prior.size != p0.size or np.abs(prior.weights - p0.weights).max() > 1e-12:
             raise InvalidSpec("family p0 disagrees with the scenario prior")
-    elif p0 is not None:
-        prior = p0
-    else:
-        raise InvalidSpec("family spec needs a p0")
     grid = d.get("grid") or {}
-    return FamilySpec(
-        kind=d["kind"],
-        p0=prior,
-        dt=tuple(d["dt"]) if "dt" in d else None,
-        rates=tuple(d["rates"]) if "rates" in d else None,
-        grid_times=tuple(grid["times"]) if "times" in grid else None,
-        grid_values=grid.get("values"),
-    )
+    return make_family(kind, p0, dt=d.get("dt"), rates=d.get("rates"),
+                       grid_times=grid.get("times"), grid_values=grid.get("values"),
+                       validate=validate)

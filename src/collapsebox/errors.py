@@ -37,6 +37,13 @@ class InvalidSpec(CollapseBoxError):
     pass
 
 
+def required(d, key: str, where: str):
+    """d[key] of a JSON object; a missing key (or no object) is an InvalidSpec naming it."""
+    if not isinstance(d, dict) or key not in d:
+        raise InvalidSpec(f"{where} has no {key!r}")
+    return d[key]
+
+
 class BoundaryViolation(CollapseBoxError):
     pass
 
@@ -60,10 +67,6 @@ class NegativeElapsed(CollapseBoxError):
 
 
 class QuadratureFailure(CollapseBoxError):
-    pass
-
-
-class FormulaInconsistency(CollapseBoxError):
     pass
 
 

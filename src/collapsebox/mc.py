@@ -181,8 +181,11 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
     Pearson chi-square when all expected counts are >= 5; otherwise an
     exact multinomial test (sum of outcome probabilities no larger than
     the observed one), falling back to chi-square if enumeration would be
-    too large.
+    too large. A one-outcome fit is perfect: p = 1 on either path.
+    The level must satisfy 0 < alpha < 1.
     """
+    if not 0 < alpha < 1:  # also rejects NaN
+        raise InvalidSpec(f"significance level must lie in (0, 1), got {alpha!r}")
     if e.counts.size != p.size:
         raise AlphabetMismatch(
             f"alphabet sizes differ: {e.counts.size} vs {p.size}")
@@ -196,8 +199,9 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
         if np.any((expected == 0) & (e.counts > 0)):
             return GofReport(math.inf, 0.0, True, "chi2")
         stat = float(terms.sum())
-        # scipy.stats.chi2.sf(stat, df), which is NaN for df = 0
-        pval = float(chdtrc(p.size - 1, stat)) if p.size > 1 else math.nan
+        # scipy.stats.chi2.sf(stat, df); one outcome (df = 0, where scipy
+        # gives NaN) always fits
+        pval = float(chdtrc(p.size - 1, stat)) if p.size > 1 else 1.0
         return GofReport(stat, pval, pval < alpha, "chi2")
     return _exact_multinomial(e, p, alpha)
 
@@ -211,7 +215,7 @@ def _exact_multinomial(e: EmpiricalDist, p: Distribution, alpha: float) -> GofRe
         # summed one term at a time in composition order, so that the
         # p-value does not depend on the block size
         pval = float(np.cumsum(np.append(pval, q[q <= obs_p + 1e-15]))[-1])
-    pval = min(pval, 1.0)
+    pval = min(pval, 1.0) if k > 1 else 1.0
     return GofReport(None, pval, pval < alpha, "exact")
 
 

@@ -21,7 +21,6 @@ from collapsebox.behaviors import (
 )
 from collapsebox.cli import main
 from collapsebox.collapse import (
-    FamilySpec,
     make_family,
     marginal_at,
     validate_family,
@@ -54,7 +53,7 @@ def random_priors(rng, count, size=2):
 def test_criterion_1_instantaneous_is_nonsignaling():
     rng = np.random.default_rng(101)
     for p in random_priors(rng, 50):
-        fam = make_family(FamilySpec("instantaneous", p))
+        fam = make_family("instantaneous", p)
         # layout 1: single box, probed during and after the (null) collapse
         for t in (0.0, 0.2, 1.0):
             assert tv_distance(marginal_at(fam, t), p) <= 1e-12
@@ -66,7 +65,7 @@ def test_criterion_1_instantaneous_is_nonsignaling():
 
     # MC verdicts over 1000 seeds: detection requires analytic TV > tol,
     # which never holds here, so the rate must stay at or below alpha
-    fam = make_family(FamilySpec("instantaneous", P0))
+    fam = make_family("instantaneous", P0)
     detections = sum(
         witness(fam, 0.5, SimConfig(1_000, 7_000 + seed), alpha=0.01).signaling
         for seed in range(1000))
@@ -76,7 +75,7 @@ def test_criterion_1_instantaneous_is_nonsignaling():
 
 
 def test_criterion_2_finite_dt_signals():
-    fam = make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0)))
+    fam = make_family("frozen", P0, dt=(0.0, 1.0))
 
     # derived oracle: brute force over the two latent outcomes at s = 0.5
     rows = fam.profile(0.5)
@@ -114,11 +113,11 @@ def test_criterion_2_finite_dt_signals():
 def test_criterion_3_boundary_enforcement():
     grid = np.linspace(0.0, 1.2, 1000)
     builtins = [
-        make_family(FamilySpec("instantaneous", P0)),
-        make_family(FamilySpec("linear", P0, dt=(1.0, 1.0))),
-        make_family(FamilySpec("linear", P0, dt=(0.25, 1.0))),
-        make_family(FamilySpec("exponential", P0, rates=(20.0, 30.0))),
-        make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0))),
+        make_family("instantaneous", P0),
+        make_family("linear", P0, dt=(1.0, 1.0)),
+        make_family("linear", P0, dt=(0.25, 1.0)),
+        make_family("exponential", P0, rates=(20.0, 30.0)),
+        make_family("frozen", P0, dt=(0.0, 1.0)),
     ]
     for fam in builtins:
         g = np.linspace(0.0, max(fam.dt_max, 1.0), 1000)
@@ -136,9 +135,8 @@ def test_criterion_3_boundary_enforcement():
                           (prior, [[0.2, 0.6], [0.2, 0.6]], delta)),
     }
     for clause, (times, values) in violators.items():
-        fam = make_family(
-            FamilySpec("table", P0, grid_times=times, grid_values=values),
-            validate=False)
+        fam = make_family("table", P0, grid_times=times, grid_values=values,
+                          validate=False)
         rep = validate_family(fam, grid)
         assert not rep.passed
         assert rep.worst_clause() == clause
@@ -153,7 +151,7 @@ def test_criterion_4_marginal_oracle_equivalence():
              ("frozen", (0.4, 1.0), None), ("exponential", None, (2.0, 3.0))]
     # exact agreement with latent-enumeration brute force
     for kind, dt, rates in kinds:
-        fam = make_family(FamilySpec(kind, P0, dt=dt, rates=rates))
+        fam = make_family(kind, P0, dt=dt, rates=rates)
         for s in np.linspace(0, fam.dt_max + 0.5, 25):
             rows = fam.profile(float(s))
             brute = np.zeros(2)
@@ -168,7 +166,7 @@ def test_criterion_4_marginal_oracle_equivalence():
         kind, dt, rates = kinds[i % len(kinds)]
         w = rng.random(2) + 0.05
         p = make_distribution(w / w.sum())
-        fam = make_family(FamilySpec(kind, p, dt=dt, rates=rates))
+        fam = make_family(kind, p, dt=dt, rates=rates)
         t = float(rng.uniform(0, max(fam.dt_max, 1.0)))
         emp = simulate_single(fam, t, SimConfig(10**6, 40_000 + i))
         ana = marginal_at(fam, t).weights
@@ -195,7 +193,7 @@ def test_criterion_5_theta_quadrature():
 
 def test_criterion_6_window_formula_vs_ground_truth():
     # instantaneous: analytic equals the prior and MC agrees
-    f_inst = make_family(FamilySpec("instantaneous", P0))
+    f_inst = make_family("instantaneous", P0)
     ana = window_marginal(f_inst, UNIFORM_WINDOW)
     assert tv_distance(ana, P0) <= 1e-9
     emp = simulate_window(f_inst, UNIFORM_WINDOW, SimConfig(10**6, 606))
@@ -204,7 +202,7 @@ def test_criterion_6_window_formula_vs_ground_truth():
     # finite collapse times, non-marginal-preserving family: MC is ground
     # truth and the exact window marginal must pass its GOF test on a
     # uniform, a truncated-exponential and a tabulated window
-    f_fin = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
+    f_fin = make_family("linear", P0, dt=(0.25, 1.0))
     knots = np.array([0.0, 0.5, 1.0])
     windows = (UNIFORM_WINDOW,
                TimeDensity("truncexp", 1.0, rate=2.0),

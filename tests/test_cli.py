@@ -12,6 +12,7 @@ from collapsebox.cli import main, parse_sweep_grid, parse_time_grid, scenario_ha
 
 
 def write_scenario(path, **overrides):
+    """The README scenario with keys replaced, or dropped where given None."""
     scen = {
         "p0": [0.3, 0.7],
         "family": {"kind": "frozen", "dt": [0.0, 1.0]},
@@ -19,6 +20,7 @@ def write_scenario(path, **overrides):
         "schedule": {"tA": 0.0, "tB": 0.5, "x": 1},
     }
     scen.update(overrides)
+    scen = {k: v for k, v in scen.items() if v is not None}
     path.write_text(json.dumps(scen))
     return scen
 
@@ -201,6 +203,29 @@ class TestSweepCommand:
         assert (out / "MANIFEST.partial").exists()
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, overrides, named", [
+        (["witness", "--grid", "0:1:x"], {}, "'x'"),
+        (["witness", "--grid", "0:1"], {}, "'0:1'"),
+        (["witness", "--grid", "1,abc"], {}, "'abc'"),
+        (["sweep", "--grid", "dt=abc"], {}, "'abc'"),
+        (["sweep", "--grid", "n=1.5"], {}, "'1.5'"),
+        (["validate"], {"p0": None}, "'p0'"),
+        (["witness"], {"family": {"dt": [0.0, 1.0]}}, "'kind'"),
+        (["simulate", "--alpha", "nan"], {}, "nan"),
+    ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
+            "no-p0", "no-kind", "alpha-nan"])
+    def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
+        scen = tmp_path / "s.json"
+        write_scenario(scen, **overrides)
+        rc = main([argv[0], "--scenario", str(scen), "--out", str(tmp_path),
+                   "--n", "200", *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: InvalidSpec" in err and named in err
+        assert "Traceback" not in err
+
+
 class TestReproducibility:
     def test_identical_runs_byte_identical(self, tmp_path):
         scen = tmp_path / "s.json"
@@ -232,11 +257,11 @@ class TestParsers:
         assert np.allclose(parse_time_grid("0.1,0.2", None), [0.1, 0.2])
 
     def test_default_time_grid(self):
-        from collapsebox.collapse import FamilySpec, make_family
+        from collapsebox.collapse import make_family
         p = collapsebox.make_distribution([0.25, 0.35, 0.4])
 
         def grid(dt):
-            return parse_time_grid(None, make_family(FamilySpec("linear", p, dt=dt)))
+            return parse_time_grid(None, make_family("linear", p, dt=dt))
 
         # equal collapse times: the plain 21-point grid, bit for bit
         assert np.array_equal(grid((0.5,) * 3), np.linspace(0.0, 0.5, 21))
@@ -248,14 +273,14 @@ class TestParsers:
     def test_default_time_grid_holds_table_knots(self):
         # rows (1 - lam) P0 + lam delta_a, lam linear between the knots: the
         # TV is piecewise linear and peaks at a knot, 0.168 at s = 0.1
-        from collapsebox.collapse import FamilySpec, make_family
+        from collapsebox.collapse import make_family
         from collapsebox.signaling import witness_sweep
         p = collapsebox.make_distribution([0.3, 0.7])
         knots = [0.0, 0.1, 0.2, 0.35, 0.5, 0.8]
         lam = [[0.0, 0.9, 0.2, 0.7, 0.9, 1.0], [0.0, 0.1, 0.6, 0.3, 1.0, 1.0]]
         values = [[(1 - lam[a][k]) * p.weights + lam[a][k] * np.eye(2)[a] for a in range(2)]
                   for k in range(len(knots))]
-        fam = make_family(FamilySpec("table", p, grid_times=knots, grid_values=values))
+        fam = make_family("table", p, grid_times=knots, grid_values=values)
         g = parse_time_grid(None, fam)
         assert set(knots) <= set(g)
         best = max(witness_sweep(fam, g), key=lambda r: r.tv_analytic)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsebox.behaviors import make_distribution
 from collapsebox.collapse import (
-    FamilySpec,
-    family_spec_from_dict,
-    family_spec_to_dict,
+    KINDS,
+    family_from_dict,
+    family_to_dict,
     make_family,
     marginal_at,
     single_box_witness,
@@ -24,63 +26,66 @@ P0 = make_distribution([0.3, 0.7])
 
 def asym_family():
     """Outcome 0 collapses instantly, outcome 1 holds the prior until 1 s."""
-    return make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0)))
+    return make_family("frozen", P0, dt=(0.0, 1.0))
 
 
 def builtin_families():
     return [
-        make_family(FamilySpec("instantaneous", P0)),
-        make_family(FamilySpec("linear", P0, dt=(1.0, 1.0))),
-        make_family(FamilySpec("linear", P0, dt=(0.25, 1.0))),
-        make_family(FamilySpec("exponential", P0, rates=(2.0, 3.0))),
+        make_family("instantaneous", P0),
+        make_family("linear", P0, dt=(1.0, 1.0)),
+        make_family("linear", P0, dt=(0.25, 1.0)),
+        make_family("exponential", P0, rates=(2.0, 3.0)),
         asym_family(),
-        make_family(FamilySpec("frozen", P0, dt=(0.4, 1.0))),
+        make_family("frozen", P0, dt=(0.4, 1.0)),
     ]
 
 
 class TestMakeFamily:
     def test_instantaneous_is_delta_after_trigger(self):
-        f = make_family(FamilySpec("instantaneous", P0))
+        f = make_family("instantaneous", P0)
         for eps in (1e-9, 0.5, 10.0):
             m = f.profile(eps)
             assert m[0, 0] == 1.0 and m[0, 1] == 0.0
             assert m[1, 1] == 1.0 and m[1, 0] == 0.0
 
     def test_linear_initial_condition(self):
-        f = make_family(FamilySpec("linear", P0, dt=(1.0, 1.0)))
+        f = make_family("linear", P0, dt=(1.0, 1.0))
         m = f.profile(0.0)
         assert np.allclose(m, [[0.3, 0.7], [0.3, 0.7]])
 
     def test_linear_interpolation_value(self):
-        f = make_family(FamilySpec("linear", P0, dt=(1.0, 1.0)))
+        f = make_family("linear", P0, dt=(1.0, 1.0))
         assert f.profile(0.5)[0, 0] == pytest.approx(0.65, abs=1e-12)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
-            make_family(FamilySpec("linear", P0, dt=(1.0,)))
+            make_family("linear", P0, dt=(1.0,))
         with pytest.raises(InvalidSpec):
-            make_family(FamilySpec("exponential", P0, rates=(0.0, 1.0)))
+            make_family("exponential", P0, rates=(0.0, 1.0))
         with pytest.raises(InvalidSpec):
-            make_family(FamilySpec("wavelet", P0))
+            make_family("wavelet", P0)
+        for dt in (0.5, ["a", "b"], None):  # a scalar, non-numbers, no dt
+            with pytest.raises(InvalidSpec, match="one dt per outcome"):
+                make_family("linear", P0, dt=dt)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_durations(self, bad):
         for kind in ("linear", "frozen"):
             with pytest.raises(InvalidSpec):
-                make_family(FamilySpec(kind, P0, dt=(0.5, bad)))
+                make_family(kind, P0, dt=(0.5, bad))
         with pytest.raises(InvalidSpec):
-            make_family(FamilySpec("exponential", P0, rates=(2.0, bad)))
+            make_family("exponential", P0, rates=(2.0, bad))
         with pytest.raises(InvalidSpec):
-            make_family(FamilySpec("table", P0, grid_times=(0.0, bad),
-                                   grid_values=[[[0.3, 0.7]] * 2, [[1, 0], [0, 1]]]))
+            make_family("table", P0, grid_times=(0.0, bad),
+                        grid_values=[[[0.3, 0.7]] * 2, [[1, 0], [0, 1]]])
 
     def test_table_family(self):
         # hold-then-jump expressed as a grid: prior rows, then deltas
         times = [0.0, 0.5, 0.5 + 1e-9, 1.0]
         prior = [[0.3, 0.7], [0.3, 0.7]]
         delta = [[1.0, 0.0], [0.0, 1.0]]
-        f = make_family(FamilySpec("table", P0, grid_times=tuple(times),
-                                   grid_values=(prior, prior, delta, delta)))
+        f = make_family("table", P0, grid_times=tuple(times),
+                        grid_values=(prior, prior, delta, delta))
         assert f.dt_max == pytest.approx(0.5 + 1e-9)
         assert np.allclose(f.profile(0.25), prior)
         assert np.allclose(f.profile(0.75), delta)
@@ -88,8 +93,8 @@ class TestMakeFamily:
     def test_table_never_collapsing_rejected(self):
         prior = [[0.3, 0.7], [0.3, 0.7]]
         with pytest.raises(BoundaryViolation):
-            make_family(FamilySpec("table", P0, grid_times=(0.0, 1.0),
-                                   grid_values=(prior, prior)))
+            make_family("table", P0, grid_times=(0.0, 1.0),
+                        grid_values=(prior, prior))
 
 
 def mixture_rows(f, latent, s):
@@ -122,12 +127,12 @@ class TestRows:
                         [[0.6, 0.15, 0.25], [0.1, 0.65, 0.25], [0.1, 0.15, 0.75]],
                         np.eye(3).tolist()]
         return [
-            make_family(FamilySpec("instantaneous", self.P3)),
-            make_family(FamilySpec("linear", self.P3, dt=(0.0, 0.3, 1.1))),
-            make_family(FamilySpec("frozen", self.P3, dt=(0.0, 0.7, 0.3))),
-            make_family(FamilySpec("exponential", self.P3, rates=(2.0, 7.0, 30.0))),
-            make_family(FamilySpec("table", self.P3, grid_times=(0.0, 0.5, 1.0),
-                                   grid_values=table_values)),
+            make_family("instantaneous", self.P3),
+            make_family("linear", self.P3, dt=(0.0, 0.3, 1.1)),
+            make_family("frozen", self.P3, dt=(0.0, 0.7, 0.3)),
+            make_family("exponential", self.P3, rates=(2.0, 7.0, 30.0)),
+            make_family("table", self.P3, grid_times=(0.0, 0.5, 1.0),
+                        grid_values=table_values),
         ]
 
     def test_equals_mixture_bit_for_bit(self):
@@ -158,7 +163,7 @@ class TestValidateFamily:
         # f_00 stuck at 0.9 at and beyond its collapse time
         times = (0.0, 1.0, 2.0)
         bad_row = [[0.9, 0.1], [0.0, 1.0]]
-        fam = make_family(FamilySpec("frozen", P0, dt=(1.0, 1.0)))
+        fam = make_family("frozen", P0, dt=(1.0, 1.0))
         broken = fam.__class__("table", P0, np.array([1.0, 1.0]),
                                grid_times=np.array(times),
                                grid_values=np.array([[[0.3, 0.7], [0.3, 0.7]],
@@ -172,6 +177,36 @@ class TestValidateFamily:
         with pytest.raises(EmptyGrid):
             validate_family(asym_family(), [])
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(KINDS), n=st.integers(1, 6),
+           points=st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_make_family_output_is_valid(self, data, kind, n, points):
+        # any family make_family accepts meets every boundary clause, on
+        # random grids holding the trigger instant and each collapse time
+        def per_outcome(lo, hi):
+            return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+        w = np.array(data.draw(per_outcome(0.05, 1.0)))
+        p0 = make_distribution(w / w.sum())
+        if kind in ("linear", "frozen"):
+            f = make_family(kind, p0, dt=data.draw(per_outcome(0.0, 5.0)))
+        elif kind == "exponential":
+            f = make_family(kind, p0, rates=data.draw(per_outcome(0.1, 100.0)))
+        elif kind == "table":
+            # rows (1 - lam) P0 + lam delta_a: lam = 0 at the trigger, 1 at the last knot
+            steps = data.draw(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6))
+            times = np.concatenate([[0.0], np.cumsum(steps)])
+            lam = np.array(data.draw(st.lists(per_outcome(0.0, 1.0), min_size=times.size,
+                                              max_size=times.size)))
+            lam[0], lam[-1] = 0.0, 1.0
+            values = (1 - lam)[:, :, None] * p0.weights + lam[:, :, None] * np.eye(n)
+            f = make_family(kind, p0, grid_times=times, grid_values=values)
+        else:
+            f = make_family(kind, p0)
+        grid = np.concatenate([[0.0], f.dt, np.array(points) * (1.5 * f.dt_max + 1.0)])
+        rep = validate_family(f, grid)
+        assert rep.passed, (f.kind, rep.worst)
+
 
 class TestMarginalAt:
     def test_prior_at_trigger(self):
@@ -180,7 +215,7 @@ class TestMarginalAt:
                                atol=1e-12)
 
     def test_equal_dt_linear_preserves_prior(self):
-        fam = make_family(FamilySpec("linear", P0, dt=(1.0, 1.0)))
+        fam = make_family("linear", P0, dt=(1.0, 1.0))
         for s in (0.0, 0.2, 0.5, 0.9, 1.0):
             assert np.allclose(marginal_at(fam, s).weights, P0.weights,
                                atol=1e-12)
@@ -222,18 +257,18 @@ class TestMarginalAt:
 
 class TestSingleBoxWitness:
     def test_instantaneous_always_zero(self):
-        fam = make_family(FamilySpec("instantaneous", P0))
+        fam = make_family("instantaneous", P0)
         for s in (0.0,):
             assert single_box_witness(fam, s) == 0.0
         rng = np.random.default_rng(5)
         for _ in range(10):
             w = rng.random(3) + 1e-3
             p = make_distribution(w / w.sum())
-            fi = make_family(FamilySpec("instantaneous", p))
+            fi = make_family("instantaneous", p)
             assert single_box_witness(fi, 0.0) <= 1e-12
 
     def test_equal_dt_linear_zero(self):
-        fam = make_family(FamilySpec("linear", P0, dt=(1.0, 1.0)))
+        fam = make_family("linear", P0, dt=(1.0, 1.0))
         assert single_box_witness(fam, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_asymmetric_value(self):
@@ -248,23 +283,32 @@ class TestSingleBoxWitness:
 
     def test_monotone_on_shared_window(self):
         # built-in with positive shortest collapse time
-        fam = make_family(FamilySpec("frozen", P0, dt=(0.4, 1.0)))
+        fam = make_family("frozen", P0, dt=(0.4, 1.0))
         grid = np.linspace(0.0, fam.dt_min, 50)
         vals = [single_box_witness(fam, float(s)) for s in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-class TestFamilySpecSerialization:
+class TestFamilySerialization:
     def test_roundtrip(self):
-        spec = FamilySpec("frozen", P0, dt=(0.0, 1.0))
-        d = family_spec_to_dict(spec)
-        spec2 = family_spec_from_dict(d)
-        assert spec2.kind == "frozen" and spec2.dt == (0.0, 1.0)
-        assert np.allclose(spec2.p0.weights, P0.weights)
+        # each kind writes only its own fields and reads back an equal family
+        for f in builtin_families() + TestRows().families():
+            d = family_to_dict(f)
+            assert set(d) - {"kind", "p0"} == {
+                "instantaneous": set(), "linear": {"dt"}, "frozen": {"dt"},
+                "exponential": {"rates"}, "table": {"grid"}}[f.kind]
+            g = family_from_dict(d, f.p0)
+            assert g.kind == f.kind and np.array_equal(g.p0.weights, f.p0.weights)
+            for field in ("dt", "rates", "grid_times", "grid_values"):
+                a, b = getattr(f, field), getattr(g, field)
+                assert (a is None and b is None) or np.array_equal(a, b), (f.kind, field)
 
     def test_prior_inherited_and_checked(self):
-        spec2 = family_spec_from_dict({"kind": "instantaneous"}, p0=P0)
-        assert np.allclose(spec2.p0.weights, P0.weights)
+        f = family_from_dict({"kind": "instantaneous"}, P0)
+        assert np.array_equal(f.p0.weights, P0.weights)
         with pytest.raises(InvalidSpec):
-            family_spec_from_dict({"kind": "instantaneous", "p0": [0.5, 0.5]},
-                                  p0=P0)
+            family_from_dict({"kind": "instantaneous", "p0": [0.5, 0.5]}, P0)
+
+    def test_missing_kind_named(self):
+        with pytest.raises(InvalidSpec, match="'kind'"):
+            family_from_dict({"dt": [0.0, 1.0]}, P0)

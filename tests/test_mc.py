@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import collapsebox.mc as mc
 from collapsebox.behaviors import make_distribution
-from collapsebox.collapse import FamilySpec, make_family, marginal_at
+from collapsebox.collapse import make_family, marginal_at
 from collapsebox.errors import AlphabetMismatch, InvalidSpec
 from collapsebox.mc import (
     _BLOCK,
@@ -34,11 +34,11 @@ P0 = make_distribution([0.3, 0.7])
 
 
 def asym_family():
-    return make_family(FamilySpec("frozen", P0, dt=(0.0, 1.0)))
+    return make_family("frozen", P0, dt=(0.0, 1.0))
 
 
 def inst_family():
-    return make_family(FamilySpec("instantaneous", P0))
+    return make_family("instantaneous", P0)
 
 
 class TestDeterminism:
@@ -101,7 +101,7 @@ class TestBlockAndWorkerInvariance:
     @given(n=st.integers(1, 3_000), seed=st.integers(0, 2**32 - 1),
            workers=st.integers(1, 4), block=st.integers(1, 700))
     def test_counts_independent_of_split(self, n, seed, workers, block):
-        fam = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
+        fam = make_family("linear", P0, dt=(0.25, 1.0))
         w = TimeDensity("truncexp", 1.0, rate=2.0)
         runs = (lambda cfg: simulate_single(fam, 0.4, cfg),
                 lambda cfg: simulate_twobox(fam, Schedule(0.0, 0.4, 0), cfg),
@@ -118,7 +118,7 @@ class TestSimulateSingle:
         # u = 0 equals outcome 0's cumulative weight; the draw takes the
         # first index whose cumulative weight exceeds u, never outcome 0
         p = make_distribution([0.0, 0.5, 0.5])
-        fam = make_family(FamilySpec("linear", p, dt=(0.2, 0.4, 0.6)))
+        fam = make_family("linear", p, dt=(0.2, 0.4, 0.6))
         monkeypatch.setattr(mc, "replica_uniforms",
                             lambda seed, lo, hi: np.zeros((hi - lo, 4)))
         e = simulate_single(fam, 1.0, SimConfig(10, 0))
@@ -145,7 +145,7 @@ class TestSimulateSingle:
             w = rng.random(2) + 0.05
             p = make_distribution(w / w.sum())
             kind, dt, rates = kinds[i % len(kinds)]
-            fam = make_family(FamilySpec(kind, p, dt=dt, rates=rates))
+            fam = make_family(kind, p, dt=dt, rates=rates)
             s = float(rng.uniform(0, max(fam.dt_max, 1.0)))
             e = simulate_single(fam, s, SimConfig(100_000, 1000 + i))
             ana = marginal_at(fam, s).weights
@@ -183,7 +183,7 @@ class TestSimulateWindow:
 
     def test_deviation_scales_with_theta(self):
         # same family, two window lengths: tighter window -> larger deviation
-        s = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
+        s = make_family("linear", P0, dt=(0.25, 1.0))
         tvs = []
         for width in (1.0, 4.0):
             w = TimeDensity("uniform", width)
@@ -192,7 +192,7 @@ class TestSimulateWindow:
         assert tvs[0] > tvs[1]
 
     def test_signaling_deviation_significant(self):
-        s = make_family(FamilySpec("linear", P0, dt=(0.25, 1.0)))
+        s = make_family("linear", P0, dt=(0.25, 1.0))
         w = TimeDensity("uniform", 1.0)
         e = simulate_window(s, w, SimConfig(400_000, 41))
         tv = 0.5 * np.abs(e.freqs - P0.weights).sum()
@@ -234,6 +234,11 @@ class TestGofTest:
         rep = gof_test(e, P0, alpha=0.05)
         ref = binomtest(8, 10, 0.3).pvalue
         assert rep.pvalue == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+    def test_level_outside_unit_interval(self, alpha):
+        with pytest.raises(InvalidSpec, match="significance level"):
+            gof_test(EmpiricalDist(np.array([5, 5]), 10), P0, alpha=alpha)
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
@@ -326,11 +331,15 @@ class TestGofOracle:
         rep = gof_test(e, make_distribution([0.5, 0.3, 0.1, 0.05, 0.05]))
         assert rep.method == "chi2"
         assert rep.pvalue == float(stats.chi2.sf(rep.statistic, df=4))
-        # one outcome: no degree of freedom, and a rounding-size statistic
+        # one outcome: a perfect fit on both paths, though a rounding-size
+        # statistic leaves scipy's df = 0 p-value undefined
         rep = gof_test(EmpiricalDist(np.array([50]), 50),
                        make_distribution([1.0 - 1e-12]))
-        assert rep.statistic > 0
-        assert math.isnan(rep.pvalue) and math.isnan(stats.chi2.sf(rep.statistic, 0))
+        assert rep.method == "chi2" and rep.statistic > 0
+        assert math.isnan(stats.chi2.sf(rep.statistic, 0))
+        assert rep.pvalue == 1.0 and not rep.reject
+        rep = gof_test(EmpiricalDist(np.array([3]), 3), make_distribution([1.0 - 1e-12]))
+        assert rep.method == "exact" and rep.pvalue == 1.0 and not rep.reject
 
     def test_enumeration_limit_counts_cells(self):
         # the exact test's cost tracks compositions x outcomes, so the limit

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsebox.behaviors import make_distribution, tv_distance
-from collapsebox.collapse import FamilySpec, make_family
+from collapsebox.collapse import make_family
 from collapsebox.errors import (
     InvalidSpec,
     NegativeElapsed,
@@ -54,8 +54,7 @@ def five_knot_window():
 
 
 def family(kind="frozen", dt=(0.0, 1.0), rates=None):
-    spec = FamilySpec(kind, P0, dt=dt if rates is None else None, rates=rates)
-    return make_family(spec)
+    return make_family(kind, P0, dt=dt if rates is None else None, rates=rates)
 
 
 class TestTimeDensity:
@@ -295,7 +294,7 @@ class TestWindowProperties:
            dt=st.floats(0.0, 4.0), first=st.floats(0.05, 0.95))
     def test_equal_collapse_times_give_prior(self, w, kind, dt, first):
         p0 = make_distribution([first, 1.0 - first])
-        f = make_family(FamilySpec(kind, p0, dt=(dt, dt)))
+        f = make_family(kind, p0, dt=(dt, dt))
         assert np.abs(window_marginal(f, w).weights - p0.weights).max() <= 1e-12
 
 
@@ -318,3 +317,13 @@ class TestScheduleAndSerialization:
         g = truncexp_window()
         g2 = density_from_dict(density_to_dict(g), 1.0)
         assert g2.rate == g.rate
+
+    @pytest.mark.parametrize("read, d, key", [
+        (window_from_dict, {"g": {"kind": "uniform"}}, "dt_window"),
+        (window_from_dict, {"dt_window": 1.0}, "g"),
+        (window_from_dict, {"dt_window": 1.0, "g": {}}, "kind"),
+        (schedule_from_dict, {"tA": 0.0, "x": 1}, "tB"),
+    ])
+    def test_missing_key_named(self, read, d, key):
+        with pytest.raises(InvalidSpec, match=f"'{key}'"):
+            read(d)

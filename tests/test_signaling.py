@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsebox.behaviors import make_distribution
-from collapsebox.collapse import FamilySpec, make_family
+from collapsebox.collapse import make_family
 from collapsebox.errors import EmptyGrid, InvalidSpec
 from collapsebox.mc import SimConfig
 from collapsebox.signaling import (
@@ -19,11 +19,11 @@ P0 = make_distribution([0.3, 0.7])
 
 
 def family(kind="frozen", dt=(0.0, 1.0)):
-    return make_family(FamilySpec(kind, P0, dt=dt))
+    return make_family(kind, P0, dt=dt)
 
 
 def inst_family():
-    return make_family(FamilySpec("instantaneous", P0))
+    return make_family("instantaneous", P0)
 
 
 def capacity_grid_oracle(rows, resolution=10**-4):
