@@ -35,8 +35,7 @@ def main():
     print(f"prior P0 = {P0.weights}")
     print()
     for label, fam in FAMILIES.items():
-        grid = np.linspace(0.0, max(fam.dt_max, 1.0), 400)
-        rep = validate_family(fam, grid)
+        rep = validate_family(fam, fam.check_times)
         print(f"--- {label} ---")
         print(f"    collapse durations: dt_min={fam.dt_min:.4g}, "
               f"dt_max={fam.dt_max:.4g};  boundary check: "

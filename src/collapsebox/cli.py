@@ -20,7 +20,8 @@ from . import __version__
 from .behaviors import make_distribution
 from .collapse import CollapseFamily, family_from_dict, make_family, validate_family
 from .errors import CollapseBoxError, EmptyGrid, InvalidSpec, required
-from .mc import SimConfig, default_workers, empirical_rows, gof_test, simulate_twobox, simulate_window
+from .mc import (SimConfig, check_level, default_workers, empirical_rows, gof_test,
+                 simulate_twobox, simulate_window)
 from .scenarios import (
     Schedule,
     TimeDensity,
@@ -50,7 +51,7 @@ class ScenarioBundle:
 def load_scenario(path: str, validate: bool = True) -> ScenarioBundle:
     with open(path) as fh:
         raw = json.load(fh)
-    p0 = make_distribution(required(raw, "p0", "scenario"))
+    p0 = required(raw, "p0", "scenario", make_distribution)
     family = family_from_dict(required(raw, "family", "scenario"), p0, validate=validate)
     window = window_from_dict(raw["window"]) if "window" in raw else None
     schedule = schedule_from_dict(raw["schedule"]) if "schedule" in raw else None
@@ -75,8 +76,9 @@ def write_csv(path: str, header_meta: dict, columns, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# {meta}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
+        for row in rows:  # a sweep yields its rows as it computes them
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.flush()  # so a failed or stopped run keeps the rows it finished
 
 
 def _meta(args: argparse.Namespace, bundle: ScenarioBundle) -> dict:
@@ -144,8 +146,7 @@ def _config(args: argparse.Namespace, n: int | None = None) -> SimConfig:
 def cmd_validate(args: argparse.Namespace) -> int:
     bundle = load_scenario(args.scenario, validate=False)
     fam = bundle.family
-    grid = np.linspace(0.0, max(fam.dt_max, 1.0), 1000)
-    report = validate_family(fam, grid)
+    report = validate_family(fam, fam.check_times)
     print(f"scenario {scenario_hash(bundle.raw)}: family kind {fam.kind!r}, "
           f"dt_min={fam.dt_min:.6g} dt_max={fam.dt_max:.6g}")
     for clause, v in report.worst.items():
@@ -156,6 +157,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 2
     print("validation passed")
     return 0
+
+
+def _summary(f: CollapseFamily, reports):
+    """The report of largest analytic TV, the channel capacity at its time,
+    and the verdict over all reports."""
+    best = max(reports, key=lambda r: r.tv_analytic)
+    cap = channel_capacity(induced_channel(f, best.elapsed))
+    verdict = "signaling" if any(r.signaling for r in reports) else "non-signaling"
+    return best, cap, verdict
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -174,9 +184,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
               [(r.elapsed, r.tv_analytic, r.tv_empirical, r.ci_lo, r.ci_hi,
                 r.pvalue, r.verdict) for r in reports])
 
-    best = max(reports, key=lambda r: r.tv_analytic)
-    cap = channel_capacity(induced_channel(f, best.elapsed))
-    verdict = "signaling" if any(r.signaling for r in reports) else "non-signaling"
+    best, cap, verdict = _summary(f, reports)
     print(f"max TV {best.tv_analytic:.3e} at s={best.elapsed:.6g}, "
           f"capacity {cap:.12g} bits, verdict: {verdict}")
     print(f"wrote {out}")
@@ -238,44 +246,33 @@ def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
 def cmd_sweep(args: argparse.Namespace) -> int:
     bundle = load_scenario(args.scenario)
     grid = parse_sweep_grid(args.grid)
-    keys = list(grid)
-    cells = list(itertools.product(*(grid[k] for k in keys)))
+    params = {}  # the cell being computed
+
+    def rows():
+        for cell in itertools.product(*grid.values()):
+            params.update(zip(grid, cell))
+            f, window = _cell(bundle, dt=params.get("dt"),
+                              dt_window=params.get("dt_window"))
+            reports = witness_sweep(f, parse_time_grid(None, f),
+                                    _config(args, params.get("n")), alpha=args.alpha)
+            best, cap, verdict = _summary(f, reports)
+            th = om = None
+            if window is not None:
+                th = theta(window, f.dt_min)
+                om = omega(window, f.dt_min)
+            yield cell + (th, om, best.tv_analytic, best.elapsed, cap, verdict)
 
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "sweep.csv")
-    partial = os.path.join(args.out, "MANIFEST.partial")
-    cols = tuple(keys) + ("theta", "omega", "max_tv", "elapsed_at_max",
+    cols = tuple(grid) + ("theta", "omega", "max_tv", "elapsed_at_max",
                           "capacity", "verdict")
-    meta = " ".join(f"{k}={v}" for k, v in _meta(args, bundle).items())
-
-    with open(out, "w", newline="") as fh:
-        fh.write(f"# {meta}\n")
-        fh.write(",".join(cols) + "\n")
-        for cell in cells:
-            params = dict(zip(keys, cell))
-            try:
-                f, window = _cell(bundle, dt=params.get("dt"),
-                                  dt_window=params.get("dt_window"))
-                cfg = _config(args, params.get("n"))
-                tgrid = parse_time_grid(None, f)
-                reports = witness_sweep(f, tgrid, cfg, alpha=args.alpha)
-                best = max(reports, key=lambda r: r.tv_analytic)
-                cap = channel_capacity(induced_channel(f, best.elapsed))
-                verdict = ("signaling" if any(r.signaling for r in reports)
-                           else "non-signaling")
-                th = om = None
-                if window is not None:
-                    th = theta(window, f.dt_min)
-                    om = omega(window, f.dt_min)
-                row = tuple(params[k] for k in keys) + (
-                    th, om, best.tv_analytic, best.elapsed, cap, verdict)
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-                fh.flush()
-            except CollapseBoxError as exc:
-                with open(partial, "w") as pf:
-                    pf.write(f"failed at cell {params}: {exc}\n")
-                print(f"sweep failed at cell {params}: {exc}", file=sys.stderr)
-                return 1
+    try:
+        write_csv(out, _meta(args, bundle), cols, rows())
+    except CollapseBoxError as exc:
+        with open(os.path.join(args.out, "MANIFEST.partial"), "w") as pf:
+            pf.write(f"failed at cell {params}: {exc}\n")
+        print(f"sweep failed at cell {params}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {out}")
     return 0
 
@@ -288,8 +285,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 1, like any other bad input; 2 means a check failed
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="collapse-box",
         description="Finite-time collapse model: validation, witnesses, "
                     "simulation, and sweeps")
@@ -310,6 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.workers = default_workers()  # a malformed COLLAPSE_BOX_THREADS exits 1
+        check_level(args.alpha)  # before any Monte Carlo run or output file
         return COMMANDS[args.command](args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,6 +70,17 @@ class CollapseFamily:
             return np.union1d(self.dt, self.grid_times[self.grid_times <= self.dt_max])
         return np.unique(self.dt)
 
+    @property
+    def check_times(self) -> np.ndarray:
+        """The times at which checking the boundary clauses is exact: 0, every
+        kink time, the midpoint of each pair of adjacent kink times, and one
+        point past dt_max. Between kinks the rows of table and linear families
+        are linear, so each clause is worst at a kink; those of frozen and
+        instantaneous families are constant. Exponential rows mix P0 and the
+        delta with a weight in [0, 1]."""
+        kinks = np.union1d(0.0, self.kink_times)
+        return np.concatenate([kinks, 0.5 * (kinks[1:] + kinks[:-1]), [kinks[-1] + 1.0]])
+
     def profile(self, s: float) -> np.ndarray:
         """The matrix f[a, a'] at elapsed time s >= 0."""
         if s < 0:
@@ -138,8 +149,8 @@ def make_family(kind: str, p0: Distribution, *, dt=None, rates=None,
     `grid_values` of shape (nt, n, n), interpolated linearly. "frozen"
     holds the prior until dt_a, then jumps to the delta. Fields of other
     kinds are ignored. With `validate` (the default) the boundary clauses
-    are checked on a dense grid and violations raise; validation tooling
-    passes False so it can report the violated clause itself.
+    are checked at the family's `check_times` and violations raise;
+    validation tooling passes False so it can report the violated clause itself.
     """
     if kind not in KINDS:
         raise InvalidSpec(f"unknown family kind {kind!r}")
@@ -148,12 +159,12 @@ def make_family(kind: str, p0: Distribution, *, dt=None, rates=None,
     if kind == "instantaneous":
         fam = CollapseFamily("instantaneous", p0, np.zeros(n))
     elif kind in ("linear", "frozen"):
-        dt = _per_outcome(dt, n, f"kind {kind!r} needs one dt per outcome")
+        dt = _floats(dt, f"kind {kind!r} needs one dt per outcome", (n,))
         if not np.all(np.isfinite(dt) & (dt >= 0)):
             raise InvalidSpec("collapse durations must be finite and non-negative")
         fam = CollapseFamily(kind, p0, dt)
     elif kind == "exponential":
-        rates = _per_outcome(rates, n, "exponential kind needs one rate per outcome")
+        rates = _floats(rates, "exponential kind needs one rate per outcome", (n,))
         if not np.all(np.isfinite(rates) & (rates > 0)):
             raise InvalidSpec("rates must be finite and positive")
         dt = -np.log(EXP_CUTOFF) / rates
@@ -161,8 +172,8 @@ def make_family(kind: str, p0: Distribution, *, dt=None, rates=None,
     else:  # table
         if grid_times is None or grid_values is None:
             raise InvalidSpec("table kind needs grid_times and grid_values")
-        times = np.asarray(grid_times, dtype=float)
-        values = np.asarray(grid_values, dtype=float)
+        times = _floats(grid_times, "table 'grid' times must be numbers")
+        values = _floats(grid_values, "table 'grid' values must be numbers")
         if (times.ndim != 1 or times.size < 2 or not np.all(np.isfinite(times))
                 or np.any(np.diff(times) <= 0)):
             raise InvalidSpec("grid_times must be finite, strictly increasing, length >= 2")
@@ -176,8 +187,7 @@ def make_family(kind: str, p0: Distribution, *, dt=None, rates=None,
         fam = CollapseFamily("table", p0, dt, grid_times=times, grid_values=values)
 
     if validate:
-        grid = np.linspace(0.0, max(fam.dt_max, 1e-6), 257)
-        report = validate_family(fam, grid)
+        report = validate_family(fam, fam.check_times)
         if not report.passed:
             raise BoundaryViolation(
                 f"spec fails boundary clause {report.worst_clause()!r} "
@@ -186,13 +196,14 @@ def make_family(kind: str, p0: Distribution, *, dt=None, rates=None,
     return fam
 
 
-def _per_outcome(values, n: int, message: str) -> np.ndarray:
-    """`values` as a float vector of length n; anything else is an InvalidSpec."""
+def _floats(values, message: str, shape=None) -> np.ndarray:
+    """`values` as a float array, of `shape` if one is given; anything else is an
+    InvalidSpec with `message`."""
     try:
         v = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise InvalidSpec(message) from None
-    if v.shape != (n,):
+    if shape is not None and v.shape != shape:
         raise InvalidSpec(message)
     return v
 
@@ -244,8 +255,6 @@ def validate_family(f: CollapseFamily, grid) -> ValidationReport:
 
 def marginal_at(f: CollapseFamily, elapsed: float) -> Distribution:
     """Evolved single-box marginal P(a') = sum_a f_{aa'}(elapsed) P0(a)."""
-    if elapsed < 0:
-        raise TimeBeforeTrigger(f"elapsed time {elapsed} < 0")
     m = f.profile(float(elapsed))
     out = f.p0.weights @ m
     return make_distribution(out, atol=1e-9)
@@ -283,10 +292,12 @@ def family_from_dict(d: dict, p0: Distribution, validate: bool = True) -> Collap
     scenario prior `p0`; a "p0" of the family's own must agree with it."""
     kind = required(d, "kind", "family")
     if "p0" in d:
-        prior = make_distribution(d["p0"])
+        prior = required(d, "p0", "family", make_distribution)
         if prior.size != p0.size or np.abs(prior.weights - p0.weights).max() > 1e-12:
             raise InvalidSpec("family p0 disagrees with the scenario prior")
     grid = d.get("grid") or {}
+    if not isinstance(grid, dict):
+        raise InvalidSpec(f"family 'grid' must be an object, not {grid!r}")
     return make_family(kind, p0, dt=d.get("dt"), rates=d.get("rates"),
                        grid_times=grid.get("times"), grid_values=grid.get("values"),
                        validate=validate)

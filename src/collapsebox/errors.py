@@ -37,11 +37,17 @@ class InvalidSpec(CollapseBoxError):
     pass
 
 
-def required(d, key: str, where: str):
-    """d[key] of a JSON object; a missing key (or no object) is an InvalidSpec naming it."""
+def required(d, key: str, where: str, conv=None):
+    """d[key] of a JSON object, read by `conv` if one is given. A missing key
+    (or no object), or a value `conv` cannot read, is an InvalidSpec naming it."""
     if not isinstance(d, dict) or key not in d:
         raise InvalidSpec(f"{where} has no {key!r}")
-    return d[key]
+    if conv is None:
+        return d[key]
+    try:
+        return conv(d[key])
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{where} {key!r} is malformed: {d[key]!r}") from None
 
 
 class BoundaryViolation(CollapseBoxError):
@@ -60,27 +66,7 @@ class TimeOutsideWindow(CollapseBoxError):
     pass
 
 
-# --- scenarios ---
-
-class NegativeElapsed(CollapseBoxError):
-    pass
-
+# --- quadrature ---
 
 class QuadratureFailure(CollapseBoxError):
     pass
-
-
-# --- quadrature ---
-
-class MaxDepthExceeded(CollapseBoxError):
-    """Adaptive subdivision hit the depth cap.
-
-    Carries the best value and achieved error estimate so callers can
-    decide whether the partial result is usable.
-    """
-
-    def __init__(self, message, value, error_estimate, evaluations):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-        self.evaluations = evaluations

@@ -131,8 +131,6 @@ def _simulate(p0: Distribution, cfg: SimConfig, cum_rows) -> EmpiricalDist:
 def simulate_single(f: CollapseFamily, probe_elapsed: float,
                     cfg: SimConfig) -> EmpiricalDist:
     """Single box: trigger at 0, probe at `probe_elapsed`."""
-    if probe_elapsed < 0:
-        raise InvalidSpec("probe time must be >= 0")
     cum = np.cumsum(f.profile(float(probe_elapsed)), axis=1)
     return _simulate(f.p0, cfg, lambda latent, u: cum[latent])
 
@@ -175,6 +173,12 @@ class GofReport:
     method: str  # "chi2" or "exact"
 
 
+def check_level(alpha: float) -> None:
+    """A significance level outside (0, 1), NaN included, is an InvalidSpec."""
+    if not 0 < alpha < 1:
+        raise InvalidSpec(f"significance level must lie in (0, 1), got {alpha!r}")
+
+
 def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofReport:
     """Goodness of fit of empirical counts against a reference distribution.
 
@@ -184,8 +188,7 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
     too large. A one-outcome fit is perfect: p = 1 on either path.
     The level must satisfy 0 < alpha < 1.
     """
-    if not 0 < alpha < 1:  # also rejects NaN
-        raise InvalidSpec(f"significance level must lie in (0, 1), got {alpha!r}")
+    check_level(alpha)
     if e.counts.size != p.size:
         raise AlphabetMismatch(
             f"alphabet sizes differ: {e.counts.size} vs {p.size}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxDepthExceeded, QuadratureFailure
+from .errors import QuadratureFailure
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,9 @@ def integrate(fn, a: float, b: float, tol: float = 1e-9,
     estimate is below the locally allotted tolerance. Breakpoints inside
     (a, b) split the interval before adaptation starts; fn may jump at
     one, as each piece reads its right end as a left limit. A vector-valued
-    fn gives a vector value and a max-norm error estimate.
+    fn gives a vector value and a max-norm error estimate. If the depth cap
+    leaves the error estimate above `tol`, or fn is not finite, the
+    integral is a QuadratureFailure.
     """
     if a > b:
         r = integrate(fn, b, a, tol, breakpoints, max_depth)
@@ -51,9 +53,8 @@ def integrate(fn, a: float, b: float, tol: float = 1e-9,
         evals += n
         depth_hit = depth_hit or hit
     if depth_hit and err > tol:
-        raise MaxDepthExceeded(
-            f"adaptive subdivision hit depth {max_depth} with error {err:.3e}",
-            total, err, evals)
+        raise QuadratureFailure(f"depth {max_depth} reached above tolerance {tol:.3e}: "
+                                f"best value {total}, error estimate {err:.3e}")
     return IntegrationResult(total, err, evals)
 
 

@@ -39,14 +39,7 @@ import numpy as np
 
 from .behaviors import Distribution, make_distribution
 from .collapse import CollapseFamily, marginal_at
-from .errors import (
-    InvalidSpec,
-    MaxDepthExceeded,
-    NegativeElapsed,
-    NotNormalized,
-    QuadratureFailure,
-    required,
-)
+from .errors import InvalidSpec, NotNormalized, required
 from .quadrature import integrate
 
 _TOL = 1e-9  # absolute tolerance of every window-layer integral
@@ -75,8 +68,11 @@ class TimeDensity:
             if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
                 raise InvalidSpec("truncexp needs a finite positive rate")
         elif self.kind == "table":
-            t = np.asarray(self.grid_times, dtype=float)
-            v = np.asarray(self.grid_values, dtype=float)
+            try:
+                t = np.asarray(self.grid_times, dtype=float)
+                v = np.asarray(self.grid_values, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidSpec("density 'times' and 'values' must be numbers") from None
             if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
                 raise InvalidSpec("density grid must be strictly increasing")
             if abs(t[0]) > 1e-12 or abs(t[-1] - self.width) > 1e-9:
@@ -160,23 +156,10 @@ def bob_marginal(f: CollapseFamily, x: int, elapsed: float) -> Distribution:
     x = 0: Alice's input triggers nothing, Bob sees the prior.
     x = 1: the pair collapses to a shared latent outcome at Alice's input;
     Bob's probe at `elapsed` is governed by the collapse family.
+    A negative elapsed time is a TimeBeforeTrigger for either x.
     """
-    if elapsed < 0:
-        raise NegativeElapsed(f"elapsed {elapsed} < 0")
-    if x == 0:
-        return f.p0
-    return marginal_at(f, elapsed)
-
-
-def _integral(fn, hi: float, breakpoints) -> float:
-    """Integral of fn over [0, hi] to _TOL; a missed tolerance is a QuadratureFailure."""
-    try:
-        return integrate(fn, 0.0, hi, tol=_TOL, breakpoints=breakpoints).value
-    except MaxDepthExceeded as exc:
-        raise QuadratureFailure(
-            f"requested tolerance not met: {exc} "
-            f"(best value {exc.value!r}, error {exc.error_estimate:.3e})"
-        ) from exc
+    evolved = marginal_at(f, elapsed)
+    return evolved if x == 1 else f.p0
 
 
 def difference_density(g: TimeDensity, u) -> float:
@@ -211,9 +194,9 @@ def omega(g: TimeDensity, dt_min: float) -> float:
     """Omega = P(0 <= D <= dt_min), the integral of h over [0, min(dt_min, W)]."""
     if dt_min < 0:
         raise InvalidSpec("dt_min must be non-negative")
-    r = _integral(lambda u: difference_density(g, u), min(dt_min, g.width),
-                  g.breakpoints())
-    return min(max(r, 0.0), 1.0)
+    r = integrate(lambda u: difference_density(g, u), 0.0, min(dt_min, g.width),
+                  tol=_TOL, breakpoints=g.breakpoints())
+    return min(max(r.value, 0.0), 1.0)
 
 
 def theta(g: TimeDensity, dt_min: float) -> float:
@@ -233,7 +216,8 @@ def _window_mixture(f: CollapseFamily, g: TimeDensity, hi: float, weight: float)
     def drift(u):
         return (p0 @ f.profile(u) - p0) * difference_density(g, u)
 
-    out = p0 + weight * _integral(drift, hi, tuple(f.kink_times) + g.breakpoints())
+    out = p0 + weight * integrate(drift, 0.0, hi, tol=_TOL,
+                                  breakpoints=tuple(f.kink_times) + g.breakpoints()).value
     return make_distribution(out, atol=1e-6)
 
 
@@ -265,9 +249,10 @@ def density_to_dict(g: TimeDensity) -> dict:
 
 
 def density_from_dict(d: dict, width: float) -> TimeDensity:
-    return TimeDensity(
-        kind=required(d, "kind", "window density"), width=width, rate=d.get("rate"),
-        grid_times=d.get("times"), grid_values=d.get("values"))
+    kind = required(d, "kind", "window density")
+    rate = None if d.get("rate") is None else required(d, "rate", "window density", float)
+    return TimeDensity(kind, width, rate=rate, grid_times=d.get("times"),
+                       grid_values=d.get("values"))
 
 
 def window_to_dict(g: TimeDensity) -> dict:
@@ -276,7 +261,7 @@ def window_to_dict(g: TimeDensity) -> dict:
 
 def window_from_dict(d: dict) -> TimeDensity:
     return density_from_dict(required(d, "g", "window"),
-                             float(required(d, "dt_window", "window")))
+                             required(d, "dt_window", "window", float))
 
 
 def schedule_to_dict(s: Schedule) -> dict:
@@ -284,6 +269,6 @@ def schedule_to_dict(s: Schedule) -> dict:
 
 
 def schedule_from_dict(d: dict) -> Schedule:
-    return Schedule(float(required(d, "tA", "schedule")),
-                    float(required(d, "tB", "schedule")),
-                    int(required(d, "x", "schedule")))
+    return Schedule(required(d, "tA", "schedule", float),
+                    required(d, "tB", "schedule", float),
+                    required(d, "x", "schedule", int))

@@ -50,6 +50,20 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "clause 'final'" in out and "VIOLATED" in out
 
+    def test_range_violation_at_a_knot(self, tmp_path, capsys):
+        # row 0 leaves [0, 1] only at the knot 0.0013, between the points
+        # of an evenly spaced grid over [0, 1]
+        scen = tmp_path / "s.json"
+        prior = [0.3, 0.7]
+        write_scenario(scen, family={"kind": "table", "grid": {
+            "times": [0.0, 0.001, 0.0013, 0.0016, 1.0],
+            "values": [[prior, prior], [prior, prior], [[1.2, -0.2], prior],
+                       [[1.0, 0.0], prior], [[1.0, 0.0], [0.0, 1.0]]]}})
+        assert main(["validate", "--scenario", str(scen)]) == 2
+        out = capsys.readouterr().out
+        assert "clause range          worst 2.000e-01  VIOLATED" in out
+        assert "validation FAILED: clause 'range'" in out
+
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 1
 
@@ -213,8 +227,26 @@ class TestMalformedInput:
         (["validate"], {"p0": None}, "'p0'"),
         (["witness"], {"family": {"dt": [0.0, 1.0]}}, "'kind'"),
         (["simulate", "--alpha", "nan"], {}, "nan"),
+        (["witness", "--alpha", "1.5"], {}, "1.5"),
+        (["sweep", "--grid", "dt=0.5", "--alpha", "0"], {}, "got 0.0"),
+        (["simulate"], {"schedule": {"tA": 0.0, "tB": "x", "x": 1}}, "'tB'"),
+        (["simulate"], {"schedule": {"tA": 0.0, "tB": 0.5, "x": "one"}}, "'x'"),
+        (["simulate"], {"window": {"dt_window": "wide", "g": {"kind": "uniform"}},
+                        "schedule": None}, "'dt_window'"),
+        (["validate"], {"p0": "abc"}, "'p0'"),
+        (["validate"], {"family": {"kind": "frozen", "p0": "abc", "dt": [0, 1]}}, "'p0'"),
+        (["validate"], {"family": {"kind": "table", "grid": [[0.0, 1.0]]}}, "'grid'"),
+        (["validate"], {"family": {"kind": "table", "grid": {"times": "abc", "values": []}}},
+         "'grid'"),
+        (["simulate"], {"window": {"dt_window": 1.0, "g": {"kind": "truncexp", "rate": "x"}},
+                        "schedule": None}, "'rate'"),
+        (["simulate"], {"window": {"dt_window": 1.0, "g": {"kind": "table", "times": "abc",
+                                                          "values": [1.0, 1.0]}},
+                        "schedule": None}, "'times'"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
-            "no-p0", "no-kind", "alpha-nan"])
+            "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
+            "schedule-tB", "schedule-x", "dt-window", "p0-string", "family-p0-string",
+            "grid-list-not-object", "grid-times-string", "density-rate", "density-times"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"
         write_scenario(scen, **overrides)
@@ -224,6 +256,28 @@ class TestMalformedInput:
         assert rc == 1
         assert "error: InvalidSpec" in err and named in err
         assert "Traceback" not in err
+        # the error comes before any output file is written
+        assert list(tmp_path.glob("*.csv")) == []
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["validate"],                                  # no --scenario
+        ["frobnicate", "--scenario", "s.json"],        # unknown command
+        ["witness", "--scenario", "s.json", "--grid"],  # option without its value
+        ["simulate", "--scenario", "s.json", "--n", "many"],
+    ], ids=["no-scenario", "unknown-command", "no-value", "bad-int"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "collapse-box: error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: collapse-box" in capsys.readouterr().out
 
 
 class TestReproducibility:

@@ -20,6 +20,8 @@ from collapsebox.errors import (
     TimeBeforeTrigger,
     TimeOutsideWindow,
 )
+from collapsebox.mc import SimConfig, simulate_single
+from collapsebox.scenarios import bob_marginal
 
 P0 = make_distribution([0.3, 0.7])
 
@@ -177,6 +179,21 @@ class TestValidateFamily:
         with pytest.raises(EmptyGrid):
             validate_family(asym_family(), [])
 
+    def test_check_times(self):
+        f = make_family("frozen", P0, dt=(0.4, 1.0))
+        assert np.array_equal(f.check_times, [0.0, 0.4, 1.0, 0.2, 0.7, 2.0])
+        assert np.array_equal(make_family("instantaneous", P0).check_times, [0.0, 1.0])
+
+    def test_range_violation_at_a_knot(self):
+        # row 0 leaves [0, 1] only at the knot 0.0013, which no evenly spaced
+        # grid over [0, dt_max] of a few hundred or thousand points holds
+        times = (0.0, 0.001, 0.0013, 0.0016, 1.0)
+        prior = [0.3, 0.7]
+        values = [[prior, prior], [prior, prior], [[1.2, -0.2], prior],
+                  [[1.0, 0.0], prior], [[1.0, 0.0], [0.0, 1.0]]]
+        with pytest.raises(BoundaryViolation, match="'range' by 2.000e-01"):
+            make_family("table", P0, grid_times=times, grid_values=values)
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(KINDS), n=st.integers(1, 6),
            points=st.lists(st.floats(0.0, 1.0), max_size=40))
@@ -206,6 +223,19 @@ class TestValidateFamily:
         grid = np.concatenate([[0.0], f.dt, np.array(points) * (1.5 * f.dt_max + 1.0)])
         rep = validate_family(f, grid)
         assert rep.passed, (f.kind, rep.worst)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, s: f.profile(s),
+    marginal_at,
+    lambda f, s: bob_marginal(f, 0, s),
+    lambda f, s: bob_marginal(f, 1, s),
+    lambda f, s: simulate_single(f, s, SimConfig(10, 0)),
+], ids=["profile", "marginal_at", "bob_marginal-x0", "bob_marginal-x1", "simulate_single"])
+def test_negative_elapsed_time_before_trigger(call):
+    # one error for a negative elapsed time, raised by CollapseFamily.profile
+    with pytest.raises(TimeBeforeTrigger, match="-0.25 < 0"):
+        call(asym_family(), -0.25)
 
 
 class TestMarginalAt:

@@ -1,10 +1,11 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
-from collapsebox.errors import MaxDepthExceeded, QuadratureFailure
+from collapsebox.errors import QuadratureFailure
 from collapsebox.quadrature import integrate, integrate2
 
 
@@ -48,11 +49,12 @@ class TestIntegrate:
         assert r.evaluations <= 20
 
     def test_max_depth_reports_best_value(self):
-        with pytest.raises(MaxDepthExceeded) as exc:
+        with pytest.raises(QuadratureFailure) as exc:
             integrate(lambda t: t**-0.5 if t > 0 else 0.0, 0.0, 1.0,
                       tol=1e-14, max_depth=8)
-        assert exc.value.value == pytest.approx(2.0, rel=5e-2)
-        assert exc.value.error_estimate >= 0
+        m = re.search(r"best value (\S+), error estimate (\S+)$", str(exc.value))
+        assert float(m.group(1)) == pytest.approx(2.0, rel=5e-2)
+        assert float(m.group(2)) >= 0
 
     def test_error_estimate_bounds_true_error(self):
         # library of integrands with known antiderivatives

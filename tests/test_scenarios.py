@@ -5,11 +5,7 @@ from hypothesis import strategies as st
 
 from collapsebox.behaviors import make_distribution, tv_distance
 from collapsebox.collapse import make_family
-from collapsebox.errors import (
-    InvalidSpec,
-    NegativeElapsed,
-    NotNormalized,
-)
+from collapsebox.errors import InvalidSpec, NotNormalized, TimeBeforeTrigger
 from collapsebox.scenarios import (
     Schedule,
     TimeDensity,
@@ -141,7 +137,7 @@ class TestBobMarginal:
                                   ref.weights)
 
     def test_negative_elapsed(self):
-        with pytest.raises(NegativeElapsed):
+        with pytest.raises(TimeBeforeTrigger):
             bob_marginal(family(), 1, -0.1)
 
 
