@@ -89,28 +89,33 @@ class CollapseFamily:
         latent = np.arange(n)
         return self.rows(latent, np.full(n, float(s)))
 
+    def weights(self, latent: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The weight w of each row (1 - w) P0 + w delta_latent[i] at s[i], for
+        every kind but table, whose rows are no such mixture."""
+        latent = np.asarray(latent, dtype=int)
+        s = np.asarray(s, dtype=float)
+        dt_l = self.dt[latent]
+
+        if self.kind == "instantaneous":
+            return (s > 0).astype(float)
+        if self.kind == "frozen":
+            return ((s > 0) & (s >= dt_l)).astype(float)
+        if self.kind == "linear":
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return np.where(dt_l > 0, np.clip(s / np.where(dt_l > 0, dt_l, 1.0), 0, 1),
+                                (s > 0).astype(float))
+        if self.kind == "exponential":
+            w = 1.0 - np.exp(-self.rates[latent] * s)
+            w = np.where(s >= dt_l, 1.0, w)  # exact delta beyond the cutoff
+            return np.where(s <= 0, 0.0, w)
+        raise InvalidSpec(f"a {self.kind!r} family has no mixture weight")
+
     def rows(self, latent: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Vectorized f_{latent[i], .}(s[i]); returns shape (len(latent), n)."""
         latent = np.asarray(latent, dtype=int)
         s = np.asarray(s, dtype=float)
         n = self.size
-        p0 = self.p0.weights
-        dt_l = self.dt[latent]
-
-        if self.kind == "instantaneous":
-            w = (s > 0).astype(float)
-        elif self.kind == "frozen":
-            w = ((s > 0) & (s >= dt_l)).astype(float)
-        elif self.kind == "linear":
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w = np.where(dt_l > 0, np.clip(s / np.where(dt_l > 0, dt_l, 1.0), 0, 1),
-                             (s > 0).astype(float))
-        elif self.kind == "exponential":
-            lam = self.rates[latent]
-            w = 1.0 - np.exp(-lam * s)
-            w = np.where(s >= dt_l, 1.0, w)  # exact delta beyond the cutoff
-            w = np.where(s <= 0, 0.0, w)
-        elif self.kind == "table":
+        if self.kind == "table":
             out = np.empty((latent.shape[0], n))
             for a in range(n):
                 mask = latent == a
@@ -121,11 +126,10 @@ class CollapseFamily:
                     out[mask, ap] = np.interp(sa, self.grid_times,
                                               self.grid_values[:, a, ap])
             return out
-        else:  # pragma: no cover - constructor guards kinds
-            raise InvalidSpec(f"unknown kind {self.kind!r}")
 
         # (1 - w) P0 + w delta_latent, adding w only where the delta is 1
-        out = (1.0 - w)[:, None] * p0[None, :]
+        w = self.weights(latent, s)
+        out = (1.0 - w)[:, None] * self.p0.weights[None, :]
         out[np.arange(latent.shape[0]), latent] += w
         return out
 

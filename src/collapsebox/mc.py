@@ -14,6 +14,16 @@ draws the latent, u1 the output, and in the window experiment u2 and u3
 draw Alice's and Bob's input times. Earlier versions used another layout
 for the window, so window counts differ from theirs for the same seed;
 fixed-schedule counts do not.
+
+Replicas run in blocks of _BLOCK = 2^13. A float column of a block then
+takes 64 KB, under glibc's default 128 KB mmap threshold, so each block's
+temporaries come from the heap, which reuses them block after block. In
+blocks of 2^18 every array was mapped anew and faulted in page by page:
+the 4e6-replica schedule and uniform-window pair of the benchmark took
+about 95,000 minor page faults, where it now takes about 180. Each draw
+compares its uniform with one cumulative weight column at a time, so no
+replica holds an n-wide row. It is the draw from whole cumulative rows,
+which it replaced, bit for bit, so it left every count unchanged.
 """
 
 from __future__ import annotations
@@ -41,9 +51,11 @@ _EXACT_CELL_LIMIT = 1_000_000
 # compositions the exact test scores at once: bounds its arrays to 2^13 x k
 _EXACT_BLOCK = 1 << 13
 
-# replicas per block: bounds the memory in use (about 115 B per window
-# replica) whatever the replica count; workers share the blocks
-_BLOCK = 1 << 18
+# replicas per block: a float column of a block takes 64 KB, under glibc's
+# default 128 KB mmap threshold, so a block's temporaries are reused from the
+# heap instead of being mapped and faulted in anew (about 180 minor faults
+# per 4e6-replica schedule and window pair, against 95,000 in blocks of 2^18)
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -83,14 +95,17 @@ class EmpiricalDist:
         return 0.5 * (hi - lo)
 
 
-def replica_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Uniform doubles for replicas [lo, hi), shape (hi-lo, 4).
+def replica_uniforms(seed: int, lo: int, hi: int, out=None) -> np.ndarray:
+    """Uniform doubles for replicas [lo, hi), shape (hi-lo, 4); with `out`,
+    written into its first hi-lo rows, which are returned.
 
     One Philox counter block per replica; partition-invariant by
     construction.
     """
-    bg = np.random.Philox(key=seed).advance(lo)
-    return np.random.Generator(bg).random((hi - lo, 4))
+    gen = np.random.Generator(np.random.Philox(key=seed).advance(lo))
+    if out is None:
+        return gen.random((hi - lo, 4))
+    return gen.random(out=out[:hi - lo])
 
 
 def default_workers() -> int:
@@ -102,37 +117,59 @@ def default_workers() -> int:
         raise InvalidSpec(f"COLLAPSE_BOX_THREADS must be an integer, got {env!r}") from None
 
 
-def _simulate(p0: Distribution, cfg: SimConfig, cum_rows) -> EmpiricalDist:
+def _simulate(p0: Distribution, cfg: SimConfig, columns) -> EmpiricalDist:
     """The sampling kernel behind every simulator.
 
-    Uniform 0 draws the latent from p0; uniform 1 draws the output from
-    the cumulative row `cum_rows(latent, u)` gives each replica. Both draws
-    take the first index whose cumulative weight exceeds the uniform.
-    Replicas run in blocks of _BLOCK, shared among the workers.
+    Replicas run in blocks of _BLOCK; each worker takes one contiguous run
+    of blocks and fills one buffer of uniforms for each block in turn.
     """
     n = p0.size
     cum_p0 = np.cumsum(p0.weights)
 
-    def block(lo, hi):
-        u = replica_uniforms(cfg.seed, lo, hi)
-        latent = np.minimum(np.searchsorted(cum_p0, u[:, 0], side="right"), n - 1)
-        out = np.minimum((u[:, 1, None] >= cum_rows(latent, u)).sum(axis=1), n - 1)
-        return np.bincount(out, minlength=n)
+    def run(lo, hi):
+        buf = np.empty((_BLOCK, 4))
+        counts = np.zeros(n, dtype=np.int64)
+        for start in range(lo, hi, _BLOCK):
+            u = replica_uniforms(cfg.seed, start, min(start + _BLOCK, hi), out=buf)
+            counts += np.bincount(_draw(u, cum_p0, columns), minlength=n)
+        return counts
 
-    bounds = [(lo, min(lo + _BLOCK, cfg.n)) for lo in range(0, cfg.n, _BLOCK)]
-    if cfg.workers == 1 or len(bounds) == 1:
-        parts = [block(lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(lambda b: block(*b), bounds))
-    return EmpiricalDist(np.sum(parts, axis=0).astype(np.int64), cfg.n)
+    blocks = -(-cfg.n // _BLOCK)
+    workers = min(cfg.workers, blocks)
+    if workers == 1:
+        return EmpiricalDist(run(0, cfg.n), cfg.n)
+    edges = [min(cfg.n, _BLOCK * (blocks * k // workers)) for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return EmpiricalDist(sum(pool.map(run, edges[:-1], edges[1:])), cfg.n)
+
+
+def _draw(u: np.ndarray, cum_p0: np.ndarray, columns) -> np.ndarray:
+    """The output of each replica of a block of uniforms.
+
+    Uniform 0 draws the latent from p0 and uniform 1 the output. Each draw
+    counts the cumulative weights at or below the uniform, capped at the
+    last index: for nondecreasing weights, the first index whose weight
+    exceeds it. `columns(latent, u)` yields the replicas' cumulative output
+    weights one column at a time.
+    """
+    n = cum_p0.size
+    latent = _count(np.ascontiguousarray(u[:, 0]), cum_p0, n)
+    return _count(np.ascontiguousarray(u[:, 1]), columns(latent, u), n)
+
+
+def _count(x: np.ndarray, columns, n: int) -> np.ndarray:
+    """How many of the columns each element of x is at or above, capped at n - 1."""
+    k = np.zeros(x.size, dtype=np.min_scalar_type(n))
+    for column in columns:
+        k += x >= column
+    return np.minimum(k, n - 1)
 
 
 def simulate_single(f: CollapseFamily, probe_elapsed: float,
                     cfg: SimConfig) -> EmpiricalDist:
     """Single box: trigger at 0, probe at `probe_elapsed`."""
-    cum = np.cumsum(f.profile(float(probe_elapsed)), axis=1)
-    return _simulate(f.p0, cfg, lambda latent, u: cum[latent])
+    cum = np.cumsum(f.profile(float(probe_elapsed)), axis=1).T
+    return _simulate(f.p0, cfg, lambda latent, u: (c.take(latent) for c in cum))
 
 
 def simulate_twobox(f: CollapseFamily, sched: Schedule,
@@ -156,13 +193,25 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
     Bob reads its family row at t_B - t_A; if Bob acts first he triggers
     and reads the latent itself (elapsed time inf).
     """
-    def cum_rows(latent, u):
+    p0 = f.p0.weights
+
+    def columns(latent, u):
         t_a = g.sample(u[:, 2])
         t_b = g.sample(u[:, 3])
         elapsed = np.where(t_b >= t_a, t_b - t_a, math.inf)
-        return np.cumsum(f.rows(latent, elapsed), axis=1)
+        if f.kind == "table":
+            yield from np.cumsum(f.rows(latent, elapsed), axis=1).T
+            return
+        # the float operations of `rows` and `cumsum`, one column at a time,
+        # so that the draw is that of the cumulative rows bit for bit
+        w = f.weights(latent, elapsed)
+        keep = 1.0 - w
+        acc = 0.0
+        for j, p in enumerate(p0):
+            acc = acc + (keep * p + (latent == j) * w)
+            yield acc
 
-    return _simulate(f.p0, cfg, cum_rows)
+    return _simulate(f.p0, cfg, columns)
 
 
 @dataclass(frozen=True)

@@ -271,4 +271,11 @@ def schedule_to_dict(s: Schedule) -> dict:
 def schedule_from_dict(d: dict) -> Schedule:
     return Schedule(required(d, "tA", "schedule", float),
                     required(d, "tB", "schedule", float),
-                    required(d, "x", "schedule", int))
+                    required(d, "x", "schedule", _choice))
+
+
+def _choice(x) -> int:
+    """Alice's choice: the JSON integer 0 or 1; a float or a boolean is malformed."""
+    if type(x) is not int or x not in (0, 1):
+        raise ValueError(x)
+    return x

@@ -231,6 +231,8 @@ class TestMalformedInput:
         (["sweep", "--grid", "dt=0.5", "--alpha", "0"], {}, "got 0.0"),
         (["simulate"], {"schedule": {"tA": 0.0, "tB": "x", "x": 1}}, "'tB'"),
         (["simulate"], {"schedule": {"tA": 0.0, "tB": 0.5, "x": "one"}}, "'x'"),
+        (["simulate"], {"schedule": {"tA": 0.0, "tB": 0.5, "x": 1.7}}, "'x'"),
+        (["simulate"], {"schedule": {"tA": 0.0, "tB": 0.5, "x": True}}, "'x'"),
         (["simulate"], {"window": {"dt_window": "wide", "g": {"kind": "uniform"}},
                         "schedule": None}, "'dt_window'"),
         (["validate"], {"p0": "abc"}, "'p0'"),
@@ -245,7 +247,8 @@ class TestMalformedInput:
                         "schedule": None}, "'times'"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
-            "schedule-tB", "schedule-x", "dt-window", "p0-string", "family-p0-string",
+            "schedule-tB", "schedule-x", "schedule-x-float",
+            "schedule-x-bool", "dt-window", "p0-string", "family-p0-string",
             "grid-list-not-object", "grid-times-string", "density-rate", "density-times"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"

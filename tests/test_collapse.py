@@ -99,6 +99,22 @@ class TestMakeFamily:
                         grid_values=(prior, prior))
 
 
+def mixture_weight(f, latent, s):
+    """The weight w of the mixture (1 - w) P0 + w eye[latent] of each kind
+    but table."""
+    dt = f.dt[latent]
+    if f.kind == "instantaneous":
+        return (s > 0).astype(float)
+    if f.kind == "frozen":
+        return ((s > 0) & (s >= dt)).astype(float)
+    if f.kind == "linear":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(dt > 0, np.clip(s / np.where(dt > 0, dt, 1.0), 0, 1),
+                            (s > 0).astype(float))
+    # exponential, clipped to the delta from dt on
+    return np.where(s <= 0, 0.0, np.where(s >= dt, 1.0, 1.0 - np.exp(-f.rates[latent] * s)))
+
+
 def mixture_rows(f, latent, s):
     """Rows as the explicit mixture (1 - w) P0 + w eye[latent], with the
     weight w of each kind; table rows interpolate the grid."""
@@ -106,18 +122,7 @@ def mixture_rows(f, latent, s):
     if f.kind == "table":
         return np.array([[np.interp(si, f.grid_times, f.grid_values[:, a, b])
                           for b in range(n)] for a, si in zip(latent, s)])
-    dt = f.dt[latent]
-    if f.kind == "instantaneous":
-        w = (s > 0).astype(float)
-    elif f.kind == "frozen":
-        w = ((s > 0) & (s >= dt)).astype(float)
-    elif f.kind == "linear":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(dt > 0, np.clip(s / np.where(dt > 0, dt, 1.0), 0, 1),
-                         (s > 0).astype(float))
-    else:  # exponential, clipped to the delta from dt on
-        w = np.where(s <= 0, 0.0,
-                     np.where(s >= dt, 1.0, 1.0 - np.exp(-f.rates[latent] * s)))
+    w = mixture_weight(f, latent, s)
     return (1.0 - w)[:, None] * f.p0.weights[None, :] + w[:, None] * np.eye(n)[latent]
 
 
@@ -147,6 +152,23 @@ class TestRows:
             many = rng.integers(0, f.size, 500)
             s = rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 500)
             assert np.array_equal(f.rows(many, s), mixture_rows(f, many, s)), f.kind
+
+    def test_weights_equal_mixture_weight(self):
+        rng = np.random.default_rng(4)
+        for f in self.families()[:-1]:
+            latent = np.arange(f.size)
+            for s in (np.zeros(f.size), f.dt.copy(), np.full(f.size, np.inf),
+                      rng.uniform(0.0, 1.2 * f.dt_max + 0.1, f.size)):
+                assert np.array_equal(f.weights(latent, s), mixture_weight(f, latent, s)), (f.kind, s)
+            many = rng.integers(0, f.size, 500)
+            s = rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 500)
+            assert np.array_equal(f.weights(many, s), mixture_weight(f, many, s)), f.kind
+
+    def test_table_has_no_mixture_weight(self):
+        table = self.families()[-1]
+        assert table.kind == "table"
+        with pytest.raises(InvalidSpec, match="no mixture weight"):
+            table.weights(np.arange(3), np.zeros(3))
 
     def test_complete_collapse_is_identity(self):
         for f in self.families():

@@ -113,6 +113,111 @@ class TestBlockAndWorkerInvariance:
             assert np.array_equal(r, a)
 
 
+P3 = make_distribution([0.2, 0.3, 0.5])
+PIN_N = 3 * 8192 + 123  # three blocks of 2^13 replicas and a part
+
+
+def rows_families():
+    """One family of each kind, as in test_collapse.TestRows."""
+    table_values = [[[0.2, 0.3, 0.5]] * 3,
+                    [[0.6, 0.15, 0.25], [0.1, 0.65, 0.25], [0.1, 0.15, 0.75]],
+                    np.eye(3).tolist()]
+    return [
+        make_family("instantaneous", P3),
+        make_family("linear", P3, dt=(0.0, 0.3, 1.1)),
+        make_family("frozen", P3, dt=(0.0, 0.7, 0.3)),
+        make_family("exponential", P3, rates=(2.0, 7.0, 30.0)),
+        make_family("table", P3, grid_times=(0.0, 0.5, 1.0), grid_values=table_values),
+    ]
+
+
+def triangle_window():
+    return TimeDensity("table", 1.0, grid_times=(0.0, 0.5, 1.0), grid_values=(0.0, 2.0, 0.0))
+
+
+class TestPinnedCounts:
+    """Exact counts, recorded when the kernel drew from whole cumulative rows
+    in blocks of 2^18 replicas; the column-by-column draw must reproduce them."""
+
+    # kind: simulate_single at 0.4, simulate_twobox at tA = 0.1, tB = 0.35,
+    # simulate_window on a uniform and on a triangular window
+    PINNED = {
+        "instantaneous": ([4929, 7520, 12250], [4886, 7452, 12361],
+                          [5036, 7352, 12311], [4893, 7358, 12448]),
+        "linear": ([6443, 9846, 8410], [6995, 9422, 8282],
+                   [6081, 7926, 10692], [6161, 7875, 10663]),
+        "frozen": ([6421, 2276, 16002], [8744, 5895, 10060],
+                   [6372, 5855, 12472], [6506, 6098, 12095]),
+        "exponential": ([3211, 7900, 13588], [2805, 7383, 14511],
+                        [4163, 7277, 13259], [3964, 7170, 13565]),
+        "table": ([4844, 7475, 12380], [4887, 7325, 12487],
+                  [5013, 7380, 12306], [4939, 7337, 12423]),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_three_outcomes(self, workers):
+        uniform = TimeDensity("uniform", 1.0)
+        for f in rows_families():
+            got = (simulate_single(f, 0.4, SimConfig(PIN_N, 101, workers)),
+                   simulate_twobox(f, Schedule(0.1, 0.35, 1), SimConfig(PIN_N, 102, workers)),
+                   simulate_window(f, uniform, SimConfig(PIN_N, 103, workers)),
+                   simulate_window(f, triangle_window(), SimConfig(PIN_N, 104, workers)))
+            assert [e.counts.tolist() for e in got] == list(self.PINNED[f.kind]), f.kind
+
+    def test_eight_outcomes(self):
+        p8 = make_distribution(np.arange(1, 9) / 36)
+        lin = make_family("linear", p8, dt=np.linspace(0.1, 1.5, 8))
+        exp = make_family("exponential", p8, rates=np.linspace(1.0, 8.0, 8))
+        got = (simulate_single(lin, 0.6, SimConfig(PIN_N, 105)),
+               simulate_window(lin, TimeDensity("truncexp", 2.0, rate=1.5), SimConfig(PIN_N, 106)),
+               simulate_window(exp, TimeDensity("uniform", 1.0), SimConfig(PIN_N, 107)))
+        assert [e.counts.tolist() for e in got] == [
+            [914, 1953, 2751, 3275, 3633, 3923, 4032, 4218],
+            [834, 1599, 2254, 2897, 3361, 4176, 4557, 5021],
+            [588, 1141, 1926, 2699, 3308, 4270, 4958, 5809]]
+
+
+class TestDrawOracle:
+    """On the same uniforms, the column-by-column draw is that of whole
+    cumulative rows, replica by replica, and its columns are the columns
+    of those rows bit for bit."""
+
+    def check(self, f, simulate, s_of, seed):
+        n = f.size
+        drawn = []
+        real = mc._draw
+
+        def oracle_draw(u, cum_p0, columns):
+            latent = np.minimum(np.searchsorted(np.cumsum(f.p0.weights), u[:, 0],
+                                                side="right"), n - 1)
+            cum = np.cumsum(f.rows(latent, s_of(u)), axis=1)
+            assert np.array_equal(np.array(list(columns(latent, u))), cum.T), f.kind
+            out = real(u, cum_p0, columns)
+            assert np.array_equal(out, np.minimum((u[:, 1, None] >= cum).sum(1), n - 1)), f.kind
+            drawn.append(len(out))
+            return out
+
+        with mock.patch.object(mc, "_draw", oracle_draw):
+            simulate(SimConfig(2 * _BLOCK + 77, seed))
+        assert sum(drawn) == 2 * _BLOCK + 77
+
+    def test_window(self):
+        for g in (TimeDensity("uniform", 1.0), triangle_window(),
+                  TimeDensity("truncexp", 1.0, rate=3.0)):
+            def s_of(u):
+                t_a, t_b = g.sample(u[:, 2]), g.sample(u[:, 3])
+                return np.where(t_b >= t_a, t_b - t_a, math.inf)
+
+            for f in rows_families():
+                self.check(f, lambda cfg: simulate_window(f, g, cfg), s_of, 8)
+
+    def test_fixed_elapsed(self):
+        for s in (0.0, 0.2, 0.45, math.inf):
+            for f in rows_families():
+                self.check(f, lambda cfg: simulate_single(f, s, cfg),
+                           lambda u: np.full(len(u), s), 9)
+
+
 class TestSimulateSingle:
     def test_zero_weight_outcome_never_drawn(self, monkeypatch):
         # u = 0 equals outcome 0's cumulative weight; the draw takes the
@@ -120,7 +225,7 @@ class TestSimulateSingle:
         p = make_distribution([0.0, 0.5, 0.5])
         fam = make_family("linear", p, dt=(0.2, 0.4, 0.6))
         monkeypatch.setattr(mc, "replica_uniforms",
-                            lambda seed, lo, hi: np.zeros((hi - lo, 4)))
+                            lambda seed, lo, hi, out=None: np.zeros((hi - lo, 4)))
         e = simulate_single(fam, 1.0, SimConfig(10, 0))
         assert e.counts[0] == 0 and e.counts.sum() == 10
 
