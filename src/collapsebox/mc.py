@@ -17,13 +17,14 @@ fixed-schedule counts do not.
 
 Replicas run in blocks of _BLOCK = 2^13. A float column of a block then
 takes 64 KB, under glibc's default 128 KB mmap threshold, so each block's
-temporaries come from the heap, which reuses them block after block. In
-blocks of 2^18 every array was mapped anew and faulted in page by page:
-the 4e6-replica schedule and uniform-window pair of the benchmark took
-about 95,000 minor page faults, where it now takes about 180. Each draw
-compares its uniform with one cumulative weight column at a time, so no
-replica holds an n-wide row. It is the draw from whole cumulative rows,
-which it replaced, bit for bit, so it left every count unchanged.
+temporaries come from the heap, which reuses them block after block: the
+4e6-replica schedule and uniform-window pair of the benchmark takes about
+180 minor page faults. Each worker draws its run of blocks from one
+generator into one buffer. Each draw compares its uniform with one
+cumulative weight column at a time, so no replica holds an n-wide row,
+except in the window on a `table` family: its rows interpolate every
+cell and are built whole, 196 KB a block at n = 3. The column draw
+equals the draw from whole cumulative rows bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _EXACT_BLOCK = 1 << 13
 # replicas per block: a float column of a block takes 64 KB, under glibc's
 # default 128 KB mmap threshold, so a block's temporaries are reused from the
 # heap instead of being mapped and faulted in anew (about 180 minor faults
-# per 4e6-replica schedule and window pair, against 95,000 in blocks of 2^18)
+# per 4e6-replica schedule and window pair)
 _BLOCK = 1 << 13
 
 
@@ -95,17 +96,18 @@ class EmpiricalDist:
         return 0.5 * (hi - lo)
 
 
-def replica_uniforms(seed: int, lo: int, hi: int, out=None) -> np.ndarray:
-    """Uniform doubles for replicas [lo, hi), shape (hi-lo, 4); with `out`,
-    written into its first hi-lo rows, which are returned.
+def replica_uniforms(seed: int, lo: int, hi: int):
+    """Uniform doubles for replicas [lo, hi), _BLOCK replicas at a time.
 
-    One Philox counter block per replica; partition-invariant by
-    construction.
+    Yields views of shape (m, 4) of one buffer, which each block
+    overwrites: copy a block to keep it. One generator, advanced once to
+    replica lo, draws every block. One Philox counter block per replica,
+    so partition-invariant by construction.
     """
     gen = np.random.Generator(np.random.Philox(key=seed).advance(lo))
-    if out is None:
-        return gen.random((hi - lo, 4))
-    return gen.random(out=out[:hi - lo])
+    buf = np.empty((min(_BLOCK, hi - lo), 4))
+    return (gen.random(out=buf[:min(_BLOCK, hi - start)])
+            for start in range(lo, hi, _BLOCK))
 
 
 def default_workers() -> int:
@@ -120,17 +122,15 @@ def default_workers() -> int:
 def _simulate(p0: Distribution, cfg: SimConfig, columns) -> EmpiricalDist:
     """The sampling kernel behind every simulator.
 
-    Replicas run in blocks of _BLOCK; each worker takes one contiguous run
-    of blocks and fills one buffer of uniforms for each block in turn.
+    Each worker takes one contiguous run of replicas and draws it block by
+    block from one stream of uniforms.
     """
     n = p0.size
     cum_p0 = np.cumsum(p0.weights)
 
     def run(lo, hi):
-        buf = np.empty((_BLOCK, 4))
         counts = np.zeros(n, dtype=np.int64)
-        for start in range(lo, hi, _BLOCK):
-            u = replica_uniforms(cfg.seed, start, min(start + _BLOCK, hi), out=buf)
+        for u in replica_uniforms(cfg.seed, lo, hi):
             counts += np.bincount(_draw(u, cum_p0, columns), minlength=n)
         return counts
 
@@ -203,7 +203,8 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
             yield from np.cumsum(f.rows(latent, elapsed), axis=1).T
             return
         # the float operations of `rows` and `cumsum`, one column at a time,
-        # so that the draw is that of the cumulative rows bit for bit
+        # so that the draw is that of the cumulative rows bit for bit; building
+        # the rows instead takes twice as long at 3 and at 8 outcomes
         w = f.weights(latent, elapsed)
         keep = 1.0 - w
         acc = 0.0

@@ -86,10 +86,18 @@ class TestDeterminism:
         assert sum(next(iter(outs))) == 1
 
     def test_stream_partition_invariance(self):
-        full = replica_uniforms(77, 0, 500)
-        parts = np.vstack([replica_uniforms(77, 0, 123),
-                           replica_uniforms(77, 123, 500)])
-        assert np.array_equal(full, parts)
+        def uniforms(lo, hi):
+            return np.vstack([u.copy() for u in replica_uniforms(77, lo, hi)])
+
+        full = uniforms(0, 2 * _BLOCK + 500)
+        assert full.shape == (2 * _BLOCK + 500, 4)
+        for cut in (123, _BLOCK, _BLOCK + 1):
+            parts = np.vstack([uniforms(0, cut), uniforms(cut, 2 * _BLOCK + 500)])
+            assert np.array_equal(full, parts)
+
+    def test_stream_blocks(self):
+        sizes = [len(u) for u in replica_uniforms(5, 3, 2 * _BLOCK + 10)]
+        assert sizes == [_BLOCK, _BLOCK, 7]
 
     def test_bad_config(self):
         with pytest.raises(InvalidSpec):
@@ -225,7 +233,7 @@ class TestSimulateSingle:
         p = make_distribution([0.0, 0.5, 0.5])
         fam = make_family("linear", p, dt=(0.2, 0.4, 0.6))
         monkeypatch.setattr(mc, "replica_uniforms",
-                            lambda seed, lo, hi, out=None: np.zeros((hi - lo, 4)))
+                            lambda seed, lo, hi: [np.zeros((hi - lo, 4))])
         e = simulate_single(fam, 1.0, SimConfig(10, 0))
         assert e.counts[0] == 0 and e.counts.sum() == 10
 
