@@ -239,25 +239,3 @@ def product_box(p: Distribution, q: Distribution, nx=2, ny=2) -> BoxBehavior:
     """Input-independent product behavior P(a,b|x,y) = p(a) q(b)."""
     t = np.tile(np.outer(p.weights, q.weights), (nx, ny, 1, 1))
     return BoxBehavior(t)
-
-
-# --- serialization (external interface) ---
-
-def box_to_dict(b: BoxBehavior) -> dict:
-    nx, ny, na, nb = b.shape
-    return {
-        "alphabets": {"a": na, "b": nb, "x": nx, "y": ny},
-        "table": b.table.tolist(),
-    }
-
-
-def box_from_dict(d: dict) -> BoxBehavior:
-    t = np.asarray(d["table"], dtype=float)
-    al = d.get("alphabets")
-    if al is not None:
-        expected = (al["x"], al["y"], al["a"], al["b"])
-        if t.shape != expected:
-            raise WrongScenarioShape(
-                f"table shape {t.shape} disagrees with alphabets {expected}"
-            )
-    return BoxBehavior(t)

@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -90,11 +91,14 @@ def _meta(args: argparse.Namespace, bundle: ScenarioBundle) -> dict:
 
 
 def _number(token: str, conv=float):
-    """One grid value; a malformed one is an InvalidSpec naming it."""
+    """One finite grid value; a malformed one is an InvalidSpec naming it."""
     try:
-        return conv(token)
+        v = conv(token)
     except ValueError:
-        raise InvalidSpec(f"bad grid value {token!r}") from None
+        v = math.nan
+    if not -math.inf < v < math.inf:
+        raise InvalidSpec(f"bad grid value {token!r}")
+    return v
 
 
 def parse_time_grid(spec: str | None, family: CollapseFamily):

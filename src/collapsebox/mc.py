@@ -11,9 +11,7 @@ from the prior, then draw the observed output from the latent outcome's
 collapse-family row at the probe's elapsed time. One kernel does this
 for every experiment and uses each replica's uniforms the same way: u0
 draws the latent, u1 the output, and in the window experiment u2 and u3
-draw Alice's and Bob's input times. Earlier versions used another layout
-for the window, so window counts differ from theirs for the same seed;
-fixed-schedule counts do not.
+draw Alice's and Bob's input times.
 
 Replicas run in blocks of _BLOCK = 2^13. A float column of a block then
 takes 64 KB, under glibc's default 128 KB mmap threshold, so each block's
@@ -21,10 +19,8 @@ temporaries come from the heap, which reuses them block after block: the
 4e6-replica schedule and uniform-window pair of the benchmark takes about
 180 minor page faults. Each worker draws its run of blocks from one
 generator into one buffer. Each draw compares its uniform with one
-cumulative weight column at a time, so no replica holds an n-wide row,
-except in the window on a `table` family: its rows interpolate every
-cell and are built whole, 196 KB a block at n = 3. The column draw
-equals the draw from whole cumulative rows bit for bit.
+cumulative weight column at a time (`CollapseFamily.columns` in the
+window), which equals the draw from whole cumulative rows bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +66,8 @@ class SimConfig:
             raise InvalidSpec("replica count must be >= 1")
         if self.workers < 1:
             raise InvalidSpec("worker count must be >= 1")
+        if not 0 <= self.seed < 2**128:
+            raise InvalidSpec(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +166,8 @@ def _count(x: np.ndarray, columns, n: int) -> np.ndarray:
 def simulate_single(f: CollapseFamily, probe_elapsed: float,
                     cfg: SimConfig) -> EmpiricalDist:
     """Single box: trigger at 0, probe at `probe_elapsed`."""
+    # one elapsed time, so one k x k cumulative table taken at each latent:
+    # drawing from `f.columns` instead slows a 4e6-replica run by a third
     cum = np.cumsum(f.profile(float(probe_elapsed)), axis=1).T
     return _simulate(f.p0, cfg, lambda latent, u: (c.take(latent) for c in cum))
 
@@ -193,24 +193,11 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
     Bob reads its family row at t_B - t_A; if Bob acts first he triggers
     and reads the latent itself (elapsed time inf).
     """
-    p0 = f.p0.weights
-
     def columns(latent, u):
         t_a = g.sample(u[:, 2])
         t_b = g.sample(u[:, 3])
         elapsed = np.where(t_b >= t_a, t_b - t_a, math.inf)
-        if f.kind == "table":
-            yield from np.cumsum(f.rows(latent, elapsed), axis=1).T
-            return
-        # the float operations of `rows` and `cumsum`, one column at a time,
-        # so that the draw is that of the cumulative rows bit for bit; building
-        # the rows instead takes twice as long at 3 and at 8 outcomes
-        w = f.weights(latent, elapsed)
-        keep = 1.0 - w
-        acc = 0.0
-        for j, p in enumerate(p0):
-            acc = acc + (keep * p + (latent == j) * w)
-            yield acc
+        return itertools.accumulate(f.columns(latent, elapsed))
 
     return _simulate(f.p0, cfg, columns)
 

@@ -5,8 +5,6 @@ import pytest
 
 from collapsebox.behaviors import (
     BoxBehavior,
-    box_from_dict,
-    box_to_dict,
     chsh_value,
     deterministic_box,
     is_local,
@@ -156,18 +154,3 @@ class TestChsh:
     def test_wrong_shape(self):
         with pytest.raises(WrongScenarioShape):
             chsh_value(uniform_box(nx=3))
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        b = pr_box()
-        d = box_to_dict(b)
-        assert d["alphabets"] == {"a": 2, "b": 2, "x": 2, "y": 2}
-        b2 = box_from_dict(d)
-        assert np.array_equal(b.table, b2.table)
-
-    def test_shape_disagreement(self):
-        d = box_to_dict(pr_box())
-        d["alphabets"]["x"] = 3
-        with pytest.raises(WrongScenarioShape):
-            box_from_dict(d)

@@ -245,11 +245,20 @@ class TestMalformedInput:
         (["simulate"], {"window": {"dt_window": 1.0, "g": {"kind": "table", "times": "abc",
                                                           "values": [1.0, 1.0]}},
                         "schedule": None}, "'times'"),
+        (["simulate", "--seed", "-1"], {}, "-1"),
+        (["simulate", "--seed", str(2**128)], {}, str(2**128)),
+        (["witness"], {"family": {"kind": "exponential", "rates": [1e-320, 1.0]}}, "1e-320"),
+        (["witness", "--grid", "0,nan"], {}, "'nan'"),
+        (["witness", "--grid", "inf"], {}, "'inf'"),
+        (["witness", "--grid", "0:-inf:3"], {}, "'-inf'"),
+        (["sweep", "--grid", "dt=nan"], {}, "'nan'"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
             "schedule-tB", "schedule-x", "schedule-x-float",
             "schedule-x-bool", "dt-window", "p0-string", "family-p0-string",
-            "grid-list-not-object", "grid-times-string", "density-rate", "density-times"])
+            "grid-list-not-object", "grid-times-string", "density-rate", "density-times",
+            "seed-negative", "seed-2**128", "rate-tiny", "grid-nan", "grid-inf",
+            "grid-range-inf", "sweep-nan"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"
         write_scenario(scen, **overrides)

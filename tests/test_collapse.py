@@ -152,6 +152,8 @@ class TestRows:
             many = rng.integers(0, f.size, 500)
             s = rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 500)
             assert np.array_equal(f.rows(many, s), mixture_rows(f, many, s)), f.kind
+            assert np.array_equal(np.stack(list(f.columns(many, s)), axis=1),
+                                  f.rows(many, s)), f.kind
 
     def test_weights_equal_mixture_weight(self):
         rng = np.random.default_rng(4)

@@ -102,6 +102,8 @@ class TestDeterminism:
     def test_bad_config(self):
         with pytest.raises(InvalidSpec):
             SimConfig(0, 1)
+        with pytest.raises(InvalidSpec, match="seed"):
+            SimConfig(10, -1)
 
 
 class TestBlockAndWorkerInvariance:
