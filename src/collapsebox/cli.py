@@ -250,6 +250,8 @@ def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
 def cmd_sweep(args: argparse.Namespace) -> int:
     bundle = load_scenario(args.scenario)
     grid = parse_sweep_grid(args.grid)
+    # each replica count's config, so a bad --seed or n fails before sweep.csv is opened
+    configs = {n: _config(args, n) for n in grid.get("n", [args.n])}
     params = {}  # the cell being computed
 
     def rows():
@@ -258,7 +260,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f, window = _cell(bundle, dt=params.get("dt"),
                               dt_window=params.get("dt_window"))
             reports = witness_sweep(f, parse_time_grid(None, f),
-                                    _config(args, params.get("n")), alpha=args.alpha)
+                                    configs[params.get("n", args.n)], alpha=args.alpha)
             best, cap, verdict = _summary(f, reports)
             th = om = None
             if window is not None:

@@ -131,8 +131,9 @@ class CollapseFamily:
         latent = np.asarray(latent, dtype=int)
         if self.kind == "table":
             return np.stack(list(self.columns(latent, s)), axis=1)
-        # the mixture of `columns` as one 2-D broadcast: `profile` calls this in
-        # window_marginal's integrand, where stacking n columns is 20-40% slower
+        # the mixture of `columns` as one 2-D broadcast: `marginal_at` calls this
+        # once per witness time, where stacking n columns from `columns` raised
+        # traced witness-sweep `collapse.rows` self time from 0.026 to 0.039 s
         w = self.weights(latent, s)
         out = (1.0 - w)[:, None] * self.p0.weights[None, :]
         out[np.arange(latent.shape[0]), latent] += w

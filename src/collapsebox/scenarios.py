@@ -162,32 +162,40 @@ def bob_marginal(f: CollapseFamily, x: int, elapsed: float) -> Distribution:
     return evolved if x == 1 else f.p0
 
 
-def difference_density(g: TimeDensity, u) -> float:
+def difference_density(g: TimeDensity, u):
     """h(u) = integral of g(t) g(t + u) dt over [0, W - u], the density of D at u >= 0.
 
-    uniform: ``(W - u) / W^2``; truncexp (rate lam):
+    u is a float or an array, like `TimeDensity.pdf`'s argument; h is 0
+    outside [0, W]. uniform: ``(W - u) / W^2``; truncexp (rate lam):
     ``lam e^{-lam u} (1 - e^{-2 lam (W - u)}) / (2 N^2)`` with ``N = 1 - e^{-lam W}``;
     table: g(t) g(t + u) is quadratic between the knots merged with the
-    knots shifted by -u, so Simpson's rule is exact on each piece.
+    knots shifted by -u, so Simpson's rule is exact on each piece. Those
+    merged knots are sorted one row per u; a repeated knot adds an empty piece.
     """
+    u = np.asarray(u, dtype=float)
     width = g.width
-    if u < 0 or u > width:
-        return 0.0
+    v = np.clip(u, 0.0, width)
     if g.kind == "uniform":
-        return (width - u) / width**2
-    if g.kind == "truncexp":
+        out = (width - v) / width**2
+    elif g.kind == "truncexp":
         lam, norm = g.rate, 1.0 - math.exp(-g.rate * width)
-        return (lam * math.exp(-lam * u) * (1.0 - math.exp(-2.0 * lam * (width - u)))
-                / (2.0 * norm**2))
-    knots, values = g.grid_times, g.grid_values
-    t = np.unique(np.clip(np.concatenate([knots, knots - u]), 0.0, width - u))
+        out = (lam * np.exp(-lam * v) * (1.0 - np.exp(-2.0 * lam * (width - v)))
+               / (2.0 * norm**2))
+    else:
+        knots, values = g.grid_times, g.grid_values
+        v = v.reshape(-1, 1)
+        t = np.sort(np.clip(np.concatenate([np.broadcast_to(knots, (v.size, knots.size)),
+                                            knots - v], axis=1), 0.0, width - v), axis=1)
+        lo, hi = t[:, :-1], t[:, 1:]
 
-    def product(x):
-        # np.interp holds g(W) where x + u rounds past W; g.pdf would read 0
-        return np.interp(x, knots, values) * np.interp(x + u, knots, values)
+        def product(x):
+            # np.interp holds g(W) where x + u rounds past W; g.pdf would read 0
+            return np.interp(x, knots, values) * np.interp(x + v, knots, values)
 
-    return float(((t[1:] - t[:-1]) / 6.0 * (product(t[:-1]) + product(t[1:])
-                                            + 4.0 * product(0.5 * (t[:-1] + t[1:])))).sum())
+        out = ((hi - lo) / 6.0 * (product(lo) + product(hi)
+                                  + 4.0 * product(0.5 * (lo + hi)))).sum(axis=1).reshape(u.shape)
+    out = np.where((u < 0) | (u > width), 0.0, out)
+    return out if out.ndim else float(out)
 
 
 def omega(g: TimeDensity, dt_min: float) -> float:
@@ -207,14 +215,18 @@ def theta(g: TimeDensity, dt_min: float) -> float:
 
 
 def _window_mixture(f: CollapseFamily, g: TimeDensity, hi: float, weight: float) -> Distribution:
-    """``P0 + weight * integral over [0, hi] of (P0 . f(u) - P0) h(u) du``, one vector integral.
+    """``P0 + weight * integral over [0, hi] of (P0 . f(u) - P0) h(u) du``, one vector
+    integral whose integrand maps an array of m nodes to an (m, k) array.
 
     Normalization beyond 1e-6 is a NotNormalized error, never silently repaired.
     """
     p0 = f.p0.weights
+    k = f.size
 
     def drift(u):
-        return (p0 @ f.profile(u) - p0) * difference_density(g, u)
+        # rows[i, a] is f_a(u[i]), laid out as validate_family lays out its grid
+        rows = f.rows(np.tile(np.arange(k), u.size), np.repeat(u, k)).reshape(u.size, k, k)
+        return (p0 @ rows - p0) * difference_density(g, u)[:, None]
 
     out = p0 + weight * integrate(drift, 0.0, hi, tol=_TOL,
                                   breakpoints=tuple(f.kink_times) + g.breakpoints()).value

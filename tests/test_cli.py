@@ -196,6 +196,19 @@ class TestSweepCommand:
         assert thetas == pytest.approx([0.0, 0.4375, 0.75], abs=1e-6)
         assert not (out / "MANIFEST.partial").exists()
 
+    def test_truncexp_theta_cells(self, tmp_path):
+        # the closed forms are 0.2489721955164904 and 0.94215757685733
+        scen = tmp_path / "s.json"
+        write_scenario(scen, window={"dt_window": 2.0,
+                                     "g": {"kind": "truncexp", "rate": 0.5}})
+        out = tmp_path / "out"
+        rc = main(["sweep", "--scenario", str(scen), "--out", str(out),
+                   "--grid", "dt=0.25,1.5", "--n", "1000"])
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        ti = lines[1].split(",").index("theta")
+        assert [l.split(",")[ti] for l in lines[2:]] == ["0.248972195516", "0.942157576857"]
+
     def test_dt_beyond_window(self, tmp_path):
         scen = tmp_path / "s.json"
         write_scenario(scen)
@@ -252,13 +265,15 @@ class TestMalformedInput:
         (["witness", "--grid", "inf"], {}, "'inf'"),
         (["witness", "--grid", "0:-inf:3"], {}, "'-inf'"),
         (["sweep", "--grid", "dt=nan"], {}, "'nan'"),
+        (["sweep", "--seed", "-1", "--grid", "dt=0.5"], {}, "-1"),
+        (["sweep", "--grid", "dt=0.5;n=0"], {}, "replica count"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
             "schedule-tB", "schedule-x", "schedule-x-float",
             "schedule-x-bool", "dt-window", "p0-string", "family-p0-string",
             "grid-list-not-object", "grid-times-string", "density-rate", "density-times",
             "seed-negative", "seed-2**128", "rate-tiny", "grid-nan", "grid-inf",
-            "grid-range-inf", "sweep-nan"])
+            "grid-range-inf", "sweep-nan", "sweep-seed-negative", "sweep-n-zero"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"
         write_scenario(scen, **overrides)
@@ -270,6 +285,7 @@ class TestMalformedInput:
         assert "Traceback" not in err
         # the error comes before any output file is written
         assert list(tmp_path.glob("*.csv")) == []
+        assert not (tmp_path / "MANIFEST.partial").exists()
 
 
 class TestUsage:

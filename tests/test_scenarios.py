@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,15 @@ class TestTheta:
         vals = [theta(uniform_window(width), 0.25) for width in (4.0, 2.0, 1.0, 0.5)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("d", [0.25, 1.5])
+    def test_truncexp_closed_form(self, d):
+        # 2 Omega, with Omega = [(1 - e^{-lam d}) - e^{-2 lam W} (e^{lam d} - 1)] / (2 N^2)
+        lam, width = 0.5, 2.0
+        norm = 1.0 - math.exp(-lam * width)
+        exact = 2.0 * ((1.0 - math.exp(-lam * d)) - math.exp(-2.0 * lam * width)
+                       * math.expm1(lam * d)) / (2.0 * norm**2)
+        assert abs(theta(truncexp_window(width, lam), d) - exact) <= 1e-14
+
     @pytest.mark.parametrize("make_w", [uniform_window, truncexp_window])
     def test_against_pair_sampling_oracle(self, make_w):
         w = make_w()
@@ -261,6 +272,15 @@ class TestWindowMarginal:
         assert abs(float(m.weights.sum()) - 1.0) <= 1e-6
         assert np.all(m.weights >= 0)
         assert tv_distance(m, P0) > 0
+
+    @pytest.mark.parametrize("k, tv", [(1.0, 13 / 320), (0.1, 229 / 32000)])
+    def test_linear_uniform_rational_tv(self, k, tv):
+        # linear rows times the uniform window's linear h are polynomials,
+        # so the window TV is rational
+        f = make_family("linear", make_distribution([0.2, 0.3, 0.5]),
+                        dt=[0.25 * k, 0.5 * k, k])
+        m = window_marginal(f, uniform_window())
+        assert abs(tv_distance(m, f.p0) - tv) <= 1e-15
 
     def test_marginal_preserving_family_gives_prior(self):
         s = family("linear", dt=(1.0, 1.0))
