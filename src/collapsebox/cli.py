@@ -138,6 +138,8 @@ def parse_sweep_grid(spec: str | None) -> dict:
         key = key.strip()
         if key not in ("dt", "dt_window", "n"):
             raise CollapseBoxError(f"unknown sweep parameter {key!r}")
+        if key in grid:
+            raise InvalidSpec(f"sweep parameter {key!r} is given twice")
         conv = int if key == "n" else float
         grid[key] = [_number(v, conv) for v in vals.split(",")]
     return grid
@@ -233,16 +235,9 @@ def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
     the window length replaced."""
     family, window = bundle.family, bundle.window
     if dt is not None:
-        if family.kind not in ("linear", "frozen", "instantaneous"):
-            raise CollapseBoxError(
-                f"dt sweep is not supported for kind {family.kind!r}")
         kind = family.kind if family.kind != "instantaneous" else "linear"
         family = make_family(kind, family.p0, dt=(float(dt),) * family.size)
     if dt_window is not None:
-        if window is None:
-            raise CollapseBoxError("dt_window sweep needs a window in the scenario")
-        if window.kind == "table":
-            raise CollapseBoxError("dt_window sweep is not supported for table densities")
         window = TimeDensity(window.kind, float(dt_window), rate=window.rate)
     return family, window
 
@@ -250,8 +245,15 @@ def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
 def cmd_sweep(args: argparse.Namespace) -> int:
     bundle = load_scenario(args.scenario)
     grid = parse_sweep_grid(args.grid)
-    # each replica count's config, so a bad --seed or n fails before sweep.csv is opened
+    # every config and axis kind, so a bad --seed, n or axis fails before sweep.csv is opened
     configs = {n: _config(args, n) for n in grid.get("n", [args.n])}
+    kind, window = bundle.family.kind, bundle.window
+    if "dt" in grid and kind not in ("linear", "frozen", "instantaneous"):
+        raise InvalidSpec(f"dt sweep is not supported for kind {kind!r}")
+    if "dt_window" in grid and window is None:
+        raise InvalidSpec("dt_window sweep needs a window in the scenario")
+    if "dt_window" in grid and window.kind == "table":
+        raise InvalidSpec("dt_window sweep is not supported for table densities")
     params = {}  # the cell being computed
 
     def rows():

@@ -221,13 +221,16 @@ class TestSweepCommand:
         assert float(lines[2].split(",")[cols.index("theta")]) == 1.0
 
     def test_partial_marker_on_failure(self, tmp_path):
+        # only the second cell's family can reject its dt
         scen = tmp_path / "s.json"
-        write_scenario(scen, family={"kind": "exponential", "rates": [2.0, 3.0]})
+        write_scenario(scen)
         out = tmp_path / "out"
         rc = main(["sweep", "--scenario", str(scen), "--out", str(out),
-                   "--grid", "dt=0.5", "--n", "1000"])
+                   "--grid", "dt=0.5,-1", "--n", "1000"])
         assert rc == 1
         assert (out / "MANIFEST.partial").exists()
+        rows = data_section(out / "sweep.csv").splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0.5,")
 
 
 class TestMalformedInput:
@@ -267,13 +270,22 @@ class TestMalformedInput:
         (["sweep", "--grid", "dt=nan"], {}, "'nan'"),
         (["sweep", "--seed", "-1", "--grid", "dt=0.5"], {}, "-1"),
         (["sweep", "--grid", "dt=0.5;n=0"], {}, "replica count"),
+        (["sweep", "--grid", "dt=0.5"], {"family": {"kind": "exponential", "rates": [2.0, 3.0]}},
+         "'exponential'"),
+        (["sweep", "--grid", "dt_window=1.0"], {"window": None}, "needs a window"),
+        (["sweep", "--grid", "dt_window=1.0"],
+         {"window": {"dt_window": 1.0, "g": {"kind": "table", "times": [0.0, 0.5, 1.0],
+                                             "values": [0.5, 1.5, 0.5]}}}, "table densities"),
+        (["sweep", "--grid", "dt=0.5;dt=1.0"], {}, "'dt' is given twice"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
             "schedule-tB", "schedule-x", "schedule-x-float",
             "schedule-x-bool", "dt-window", "p0-string", "family-p0-string",
             "grid-list-not-object", "grid-times-string", "density-rate", "density-times",
             "seed-negative", "seed-2**128", "rate-tiny", "grid-nan", "grid-inf",
-            "grid-range-inf", "sweep-nan", "sweep-seed-negative", "sweep-n-zero"])
+            "grid-range-inf", "sweep-nan", "sweep-seed-negative", "sweep-n-zero",
+            "sweep-dt-exponential", "sweep-no-window", "sweep-table-window",
+            "sweep-axis-twice"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"
         write_scenario(scen, **overrides)
@@ -401,3 +413,49 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     assert before == []
     assert member and weight == pytest.approx(1.0, abs=1e-9)
     assert loaded
+
+
+def test_scipy_loads_at_first_gof_test_or_capacity(tmp_path):
+    # import and validate load numpy only; the GOF test on both of its paths
+    # and the capacity load scipy.special and return what an eager import gives
+    scen = tmp_path / "s.json"
+    write_scenario(scen)
+    values = (
+        "from collapsebox import (Schedule, SimConfig, channel_capacity, gof_test,\n"
+        "                         induced_channel, make_distribution, make_family,\n"
+        "                         simulate_twobox)\n"
+        "from collapsebox.scenarios import bob_marginal\n"
+        "f = make_family('linear', make_distribution([0.2, 0.3, 0.5]), dt=(0.25, 0.5, 1.0))\n"
+        "sched = Schedule(0.0, 0.4, 1)\n"
+        "ref = bob_marginal(f, 1, 0.4)\n"
+        "gofs = [gof_test(simulate_twobox(f, sched, SimConfig(n, 1, 1)), ref)\n"
+        "        for n in (400, 12)]\n"
+        "values = [[g.method, g.pvalue] for g in gofs]\n"
+        "values.append(channel_capacity(induced_channel(f, 0.4)))\n"
+    )
+    lazy = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import collapsebox, collapsebox.cli\n"
+        "after_import = scipy_modules()\n"
+        f"rc = collapsebox.cli.main(['validate', '--scenario', {str(scen)!r}])\n"
+        "after_validate = scipy_modules()\n"
+        + values +
+        "print(json.dumps([after_import, rc, after_validate, values,\n"
+        "                  'scipy.special' in sys.modules]))\n"
+    )
+    eager = "import json, scipy.special\n" + values + "print(json.dumps(values))\n"
+    src = os.path.dirname(os.path.dirname(collapsebox.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(code):
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return json.loads(out.splitlines()[-1])
+
+    after_import, rc, after_validate, got, loaded = run(lazy)
+    assert after_import == [] and rc == 0 and after_validate == []
+    assert loaded
+    assert [g[0] for g in got[:2]] == ["chi2", "exact"]
+    assert got == run(eager)
