@@ -18,21 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .behaviors import make_distribution
-from .collapse import CollapseFamily, family_from_dict, make_family, validate_family
-from .errors import CollapseBoxError, EmptyGrid, InvalidSpec, required
-from .mc import (SimConfig, check_level, default_workers, empirical_rows, gof_test,
-                 simulate_twobox, simulate_window)
-from .scenarios import (
-    Schedule,
-    TimeDensity,
-    bob_marginal,
-    omega,
-    schedule_from_dict,
-    theta,
-    window_from_dict,
-    window_marginal,
-)
+from .behaviors import Distribution, make_distribution
+from .collapse import CollapseFamily, make_family, validate_family
+from .errors import CollapseBoxError, EmptyGrid, InvalidSpec
+from .mc import SimConfig, check_level, empirical_rows, gof_test, simulate_twobox, simulate_window
+from .scenarios import Schedule, TimeDensity, bob_marginal, omega, theta, window_marginal
 from .signaling import channel_capacity, induced_channel, witness_sweep
 
 
@@ -47,6 +37,57 @@ class ScenarioBundle:
     def scenario(self) -> CollapseFamily:
         """The correlated pair, which its collapse family fully describes."""
         return self.family
+
+
+def required(d, key: str, where: str, conv=None):
+    """d[key] of a JSON object, read by `conv` if one is given. A missing key
+    (or no object), or a value `conv` cannot read, is an InvalidSpec naming it."""
+    if not isinstance(d, dict) or key not in d:
+        raise InvalidSpec(f"{where} has no {key!r}")
+    if conv is None:
+        return d[key]
+    try:
+        return conv(d[key])
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{where} {key!r} is malformed: {d[key]!r}") from None
+
+
+def family_from_dict(d: dict, p0: Distribution, validate: bool = True) -> CollapseFamily:
+    """Build the family a scenario's "family" object describes, bound to the
+    scenario prior `p0`; a "p0" of the family's own must agree with it."""
+    kind = required(d, "kind", "family")
+    if "p0" in d:
+        prior = required(d, "p0", "family", make_distribution)
+        if prior.size != p0.size or np.abs(prior.weights - p0.weights).max() > 1e-12:
+            raise InvalidSpec("family p0 disagrees with the scenario prior")
+    grid = d.get("grid") or {}
+    if not isinstance(grid, dict):
+        raise InvalidSpec(f"family 'grid' must be an object, not {grid!r}")
+    return make_family(kind, p0, dt=d.get("dt"), rates=d.get("rates"),
+                       grid_times=grid.get("times"), grid_values=grid.get("values"),
+                       validate=validate)
+
+
+def window_from_dict(d: dict) -> TimeDensity:
+    g = required(d, "g", "window")
+    width = required(d, "dt_window", "window", float)
+    kind = required(g, "kind", "window density")
+    rate = None if g.get("rate") is None else required(g, "rate", "window density", float)
+    return TimeDensity(kind, width, rate=rate, grid_times=g.get("times"),
+                       grid_values=g.get("values"))
+
+
+def _choice(x) -> int:
+    """Alice's choice: the JSON integer 0 or 1; a float or a boolean is malformed."""
+    if type(x) is not int or x not in (0, 1):
+        raise ValueError(x)
+    return x
+
+
+def schedule_from_dict(d: dict) -> Schedule:
+    return Schedule(required(d, "tA", "schedule", float),
+                    required(d, "tB", "schedule", float),
+                    required(d, "x", "schedule", _choice))
 
 
 def load_scenario(path: str, validate: bool = True) -> ScenarioBundle:
@@ -146,7 +187,7 @@ def parse_sweep_grid(spec: str | None) -> dict:
 
 
 def _config(args: argparse.Namespace, n: int | None = None) -> SimConfig:
-    return SimConfig(args.n if n is None else n, args.seed, args.workers)
+    return SimConfig(args.n if n is None else n, args.seed)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -235,9 +276,15 @@ def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
     the window length replaced."""
     family, window = bundle.family, bundle.window
     if dt is not None:
+        if family.kind not in ("linear", "frozen", "instantaneous"):
+            raise InvalidSpec(f"dt sweep is not supported for kind {family.kind!r}")
         kind = family.kind if family.kind != "instantaneous" else "linear"
         family = make_family(kind, family.p0, dt=(float(dt),) * family.size)
     if dt_window is not None:
+        if window is None:
+            raise InvalidSpec("dt_window sweep needs a window in the scenario")
+        if window.kind == "table":
+            raise InvalidSpec("dt_window sweep is not supported for table densities")
         window = TimeDensity(window.kind, float(dt_window), rate=window.rate)
     return family, window
 
@@ -245,30 +292,24 @@ def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
 def cmd_sweep(args: argparse.Namespace) -> int:
     bundle = load_scenario(args.scenario)
     grid = parse_sweep_grid(args.grid)
-    # every config and axis kind, so a bad --seed, n or axis fails before sweep.csv is opened
+    # every cell's config, family and window, so a bad --seed or axis value
+    # fails before sweep.csv is opened
     configs = {n: _config(args, n) for n in grid.get("n", [args.n])}
-    kind, window = bundle.family.kind, bundle.window
-    if "dt" in grid and kind not in ("linear", "frozen", "instantaneous"):
-        raise InvalidSpec(f"dt sweep is not supported for kind {kind!r}")
-    if "dt_window" in grid and window is None:
-        raise InvalidSpec("dt_window sweep needs a window in the scenario")
-    if "dt_window" in grid and window.kind == "table":
-        raise InvalidSpec("dt_window sweep is not supported for table densities")
+    cells = [dict(zip(grid, cell)) for cell in itertools.product(*grid.values())]
+    built = [_cell(bundle, dt=c.get("dt"), dt_window=c.get("dt_window")) for c in cells]
     params = {}  # the cell being computed
 
     def rows():
-        for cell in itertools.product(*grid.values()):
-            params.update(zip(grid, cell))
-            f, window = _cell(bundle, dt=params.get("dt"),
-                              dt_window=params.get("dt_window"))
+        for cell, (f, window) in zip(cells, built):
+            params.update(cell)
             reports = witness_sweep(f, parse_time_grid(None, f),
-                                    configs[params.get("n", args.n)], alpha=args.alpha)
+                                    configs[cell.get("n", args.n)], alpha=args.alpha)
             best, cap, verdict = _summary(f, reports)
             th = om = None
             if window is not None:
                 th = theta(window, f.dt_min)
                 om = omega(window, f.dt_min)
-            yield cell + (th, om, best.tv_analytic, best.elapsed, cap, verdict)
+            yield tuple(cell.values()) + (th, om, best.tv_analytic, best.elapsed, cap, verdict)
 
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "sweep.csv")
@@ -321,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.workers = default_workers()  # a malformed COLLAPSE_BOX_THREADS exits 1
         check_level(args.alpha)  # before any Monte Carlo run or output file
         return COMMANDS[args.command](args)
     except (OSError, json.JSONDecodeError) as exc:

@@ -26,7 +26,6 @@ from .errors import (
     InvalidSpec,
     TimeBeforeTrigger,
     TimeOutsideWindow,
-    required,
 )
 
 KINDS = ("instantaneous", "linear", "exponential", "frozen", "table")
@@ -284,33 +283,3 @@ def single_box_witness(f: CollapseFamily, elapsed: float) -> float:
             f"elapsed {elapsed} outside the collapse window [0, {f.dt_max}]"
         )
     return tv_distance(marginal_at(f, elapsed), f.p0)
-
-
-# --- serialization (external interface) ---
-
-def family_to_dict(f: CollapseFamily) -> dict:
-    """The JSON form `family_from_dict` reads: the kind, P0 and the kind's own fields."""
-    d = {"kind": f.kind, "p0": f.p0.weights.tolist()}
-    if f.kind in ("linear", "frozen"):
-        d["dt"] = f.dt.tolist()
-    elif f.kind == "exponential":
-        d["rates"] = f.rates.tolist()
-    elif f.kind == "table":
-        d["grid"] = {"times": f.grid_times.tolist(), "values": f.grid_values.tolist()}
-    return d
-
-
-def family_from_dict(d: dict, p0: Distribution, validate: bool = True) -> CollapseFamily:
-    """Build the family a scenario's "family" object describes, bound to the
-    scenario prior `p0`; a "p0" of the family's own must agree with it."""
-    kind = required(d, "kind", "family")
-    if "p0" in d:
-        prior = required(d, "p0", "family", make_distribution)
-        if prior.size != p0.size or np.abs(prior.weights - p0.weights).max() > 1e-12:
-            raise InvalidSpec("family p0 disagrees with the scenario prior")
-    grid = d.get("grid") or {}
-    if not isinstance(grid, dict):
-        raise InvalidSpec(f"family 'grid' must be an object, not {grid!r}")
-    return make_family(kind, p0, dt=d.get("dt"), rates=d.get("rates"),
-                       grid_times=grid.get("times"), grid_values=grid.get("values"),
-                       validate=validate)

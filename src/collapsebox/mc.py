@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -106,15 +105,6 @@ def replica_uniforms(seed: int, lo: int, hi: int):
     buf = np.empty((min(_BLOCK, hi - lo), 4))
     return (gen.random(out=buf[:min(_BLOCK, hi - start)])
             for start in range(lo, hi, _BLOCK))
-
-
-def default_workers() -> int:
-    """Worker count from COLLAPSE_BOX_THREADS, clamped to [1, os.cpu_count()]."""
-    env = os.environ.get("COLLAPSE_BOX_THREADS") or "1"
-    try:
-        return min(max(1, int(env)), os.cpu_count() or 1)
-    except ValueError:
-        raise InvalidSpec(f"COLLAPSE_BOX_THREADS must be an integer, got {env!r}") from None
 
 
 def _simulate(p0: Distribution, cfg: SimConfig, columns) -> EmpiricalDist:

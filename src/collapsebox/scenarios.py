@@ -39,7 +39,7 @@ import numpy as np
 
 from .behaviors import Distribution, make_distribution
 from .collapse import CollapseFamily, marginal_at
-from .errors import InvalidSpec, NotNormalized, required
+from .errors import InvalidSpec, NotNormalized
 from .quadrature import integrate
 
 _TOL = 1e-9  # absolute tolerance of every window-layer integral
@@ -246,48 +246,3 @@ def window_marginal_two_term(f: CollapseFamily, g: TimeDensity) -> Distribution:
     """The paper's two-term window formula, which differs from `window_marginal`
     whenever dt_min < dt_max (see the module docstring)."""
     return _window_mixture(f, g, min(f.dt_min, g.width), 2.0)
-
-
-# --- serialization (external interface) ---
-
-def density_to_dict(g: TimeDensity) -> dict:
-    d = {"kind": g.kind}
-    if g.rate is not None:
-        d["rate"] = float(g.rate)
-    if g.grid_times is not None:
-        d["times"] = list(map(float, g.grid_times))
-        d["values"] = list(map(float, g.grid_values))
-    return d
-
-
-def density_from_dict(d: dict, width: float) -> TimeDensity:
-    kind = required(d, "kind", "window density")
-    rate = None if d.get("rate") is None else required(d, "rate", "window density", float)
-    return TimeDensity(kind, width, rate=rate, grid_times=d.get("times"),
-                       grid_values=d.get("values"))
-
-
-def window_to_dict(g: TimeDensity) -> dict:
-    return {"dt_window": float(g.width), "g": density_to_dict(g)}
-
-
-def window_from_dict(d: dict) -> TimeDensity:
-    return density_from_dict(required(d, "g", "window"),
-                             required(d, "dt_window", "window", float))
-
-
-def schedule_to_dict(s: Schedule) -> dict:
-    return {"tA": float(s.t_a), "tB": float(s.t_b), "x": int(s.x)}
-
-
-def schedule_from_dict(d: dict) -> Schedule:
-    return Schedule(required(d, "tA", "schedule", float),
-                    required(d, "tB", "schedule", float),
-                    required(d, "x", "schedule", _choice))
-
-
-def _choice(x) -> int:
-    """Alice's choice: the JSON integer 0 or 1; a float or a boolean is malformed."""
-    if type(x) is not int or x not in (0, 1):
-        raise ValueError(x)
-    return x

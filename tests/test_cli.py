@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import collapsebox
+import collapsebox.cli as cli
 from collapsebox.cli import main, parse_sweep_grid, parse_time_grid, scenario_hash
+from collapsebox.errors import CollapseBoxError
+from collapsebox.signaling import witness_sweep
 
 
 def write_scenario(path, **overrides):
@@ -165,14 +168,6 @@ class TestSimulateCommand:
         text = capsys.readouterr().out
         assert "gof vs prior" in text and "reject" in text
 
-    def test_malformed_thread_count(self, tmp_path, monkeypatch, capsys):
-        scen = tmp_path / "s.json"
-        write_scenario(scen)
-        monkeypatch.setenv("COLLAPSE_BOX_THREADS", "abc")
-        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
-        assert rc == 1
-        assert "InvalidSpec" in capsys.readouterr().err
-
     def test_zero_replicas(self, tmp_path):
         scen = tmp_path / "s.json"
         write_scenario(scen)
@@ -220,13 +215,22 @@ class TestSweepCommand:
         cols = lines[1].split(",")
         assert float(lines[2].split(",")[cols.index("theta")]) == 1.0
 
-    def test_partial_marker_on_failure(self, tmp_path):
-        # only the second cell's family can reject its dt
+    def test_partial_marker_on_failure(self, tmp_path, monkeypatch):
+        # a fault in the second cell, after the first cell's row is written
+        calls = []
+
+        def failing_sweep(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise CollapseBoxError("injected fault")
+            return witness_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "witness_sweep", failing_sweep)
         scen = tmp_path / "s.json"
         write_scenario(scen)
         out = tmp_path / "out"
         rc = main(["sweep", "--scenario", str(scen), "--out", str(out),
-                   "--grid", "dt=0.5,-1", "--n", "1000"])
+                   "--grid", "dt=0.5,1.0", "--n", "1000"])
         assert rc == 1
         assert (out / "MANIFEST.partial").exists()
         rows = data_section(out / "sweep.csv").splitlines()
@@ -277,6 +281,10 @@ class TestMalformedInput:
          {"window": {"dt_window": 1.0, "g": {"kind": "table", "times": [0.0, 0.5, 1.0],
                                              "values": [0.5, 1.5, 0.5]}}}, "table densities"),
         (["sweep", "--grid", "dt=0.5;dt=1.0"], {}, "'dt' is given twice"),
+        (["sweep", "--grid", "dt_window=0"], {}, "window width"),
+        (["sweep", "--grid", "dt_window=-1,1"], {}, "window width"),
+        (["sweep", "--grid", "dt=-1"], {}, "collapse durations"),
+        (["sweep", "--grid", "dt=0.5,-1"], {}, "collapse durations"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
             "schedule-tB", "schedule-x", "schedule-x-float",
@@ -285,7 +293,8 @@ class TestMalformedInput:
             "seed-negative", "seed-2**128", "rate-tiny", "grid-nan", "grid-inf",
             "grid-range-inf", "sweep-nan", "sweep-seed-negative", "sweep-n-zero",
             "sweep-dt-exponential", "sweep-no-window", "sweep-table-window",
-            "sweep-axis-twice"])
+            "sweep-axis-twice", "sweep-window-zero", "sweep-window-negative",
+            "sweep-dt-negative", "sweep-dt-negative-second-cell"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"
         write_scenario(scen, **overrides)
@@ -332,17 +341,20 @@ class TestReproducibility:
             outs.append(data_section(out / "witness.csv"))
         assert outs[0] == outs[1]
 
-    def test_worker_count_irrelevant(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["witness", "sweep"])
+    def test_largest_seed(self, tmp_path, command):
+        # grid point i draws from seed + i, which wraps past 2**128 - 1 to 0
         scen = tmp_path / "s.json"
         write_scenario(scen)
-        sections = []
-        for name, threads in (("w1", "1"), ("w8", "8")):
-            monkeypatch.setenv("COLLAPSE_BOX_THREADS", threads)
-            out = tmp_path / name
-            assert main(["simulate", "--scenario", str(scen), "--out", str(out),
-                         "--n", "30000", "--seed", "5"]) == 0
-            sections.append(data_section(out / "empirical.csv"))
-        assert sections[0] == sections[1]
+        grid = "0,0.5" if command == "witness" else "dt=0.5"
+        assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "top"),
+                     "--n", "500", "--seed", str(2**128 - 1), "--grid", grid]) == 0
+        if command == "witness":
+            assert main(["witness", "--scenario", str(scen), "--out", str(tmp_path / "zero"),
+                         "--n", "500", "--seed", "0", "--grid", "0.5"]) == 0
+            top = data_section(tmp_path / "top" / "witness.csv").splitlines()
+            zero = data_section(tmp_path / "zero" / "witness.csv").splitlines()
+            assert top[2] == zero[1]
 
 
 class TestParsers:

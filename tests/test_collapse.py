@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsebox.behaviors import make_distribution
+from collapsebox.cli import family_from_dict
 from collapsebox.collapse import (
     KINDS,
-    family_from_dict,
-    family_to_dict,
     make_family,
     marginal_at,
     single_box_witness,
@@ -344,14 +343,22 @@ class TestSingleBoxWitness:
 
 
 class TestFamilySerialization:
-    def test_roundtrip(self):
-        # each kind writes only its own fields and reads back an equal family
-        for f in builtin_families() + TestRows().families():
-            d = family_to_dict(f)
-            assert set(d) - {"kind", "p0"} == {
-                "instantaneous": set(), "linear": {"dt"}, "frozen": {"dt"},
-                "exponential": {"rates"}, "table": {"grid"}}[f.kind]
-            g = family_from_dict(d, f.p0)
+    def test_reads_each_kind(self):
+        # each kind's own fields, read into the family make_family builds from them
+        p3 = TestRows.P3
+        table = [[[0.2, 0.3, 0.5]] * 3, np.eye(3).tolist(), np.eye(3).tolist()]
+        cases = [
+            ({"kind": "instantaneous"}, P0, make_family("instantaneous", P0)),
+            ({"kind": "linear", "dt": [0.25, 1.0]}, P0, make_family("linear", P0, dt=(0.25, 1.0))),
+            ({"kind": "frozen", "p0": [0.3, 0.7], "dt": [0.0, 1.0]}, P0, asym_family()),
+            ({"kind": "exponential", "rates": [2.0, 3.0]}, P0,
+             make_family("exponential", P0, rates=(2.0, 3.0))),
+            ({"kind": "table", "grid": {"times": [0.0, 0.5, 1.0], "values": table}}, p3,
+             make_family("table", p3, grid_times=(0.0, 0.5, 1.0), grid_values=table)),
+        ]
+        assert sorted(d["kind"] for d, _, _ in cases) == sorted(KINDS)
+        for d, p0, f in cases:
+            g = family_from_dict(d, p0)
             assert g.kind == f.kind and np.array_equal(g.p0.weights, f.p0.weights)
             for field in ("dt", "rates", "grid_times", "grid_values"):
                 a, b = getattr(f, field), getattr(g, field)

@@ -21,7 +21,6 @@ from collapsebox.mc import (
     _exact_multinomial,
     EmpiricalDist,
     SimConfig,
-    default_workers,
     gof_test,
     replica_uniforms,
     simulate_single,
@@ -70,13 +69,6 @@ class TestDeterminism:
         alt = simulate_window(s, w, SimConfig(n, 13, workers=2))
         assert ref.counts.sum() == n
         assert np.array_equal(ref.counts, alt.counts)
-
-    def test_worker_count_clamped_to_cpus(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        monkeypatch.setenv("COLLAPSE_BOX_THREADS", "1000000")
-        assert default_workers() == 3
-        monkeypatch.setenv("COLLAPSE_BOX_THREADS", "-4")
-        assert default_workers() == 1
 
     def test_single_replica_reproducible(self):
         fam = inst_family()

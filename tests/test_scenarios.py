@@ -6,23 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsebox.behaviors import make_distribution, tv_distance
+from collapsebox.cli import schedule_from_dict, window_from_dict
 from collapsebox.collapse import make_family
 from collapsebox.errors import InvalidSpec, NotNormalized, TimeBeforeTrigger
 from collapsebox.scenarios import (
     Schedule,
     TimeDensity,
     bob_marginal,
-    density_from_dict,
-    density_to_dict,
     difference_density,
     omega,
-    schedule_from_dict,
-    schedule_to_dict,
     theta,
-    window_from_dict,
     window_marginal,
     window_marginal_two_term,
-    window_to_dict,
 )
 
 P0 = make_distribution([0.3, 0.7])
@@ -323,16 +318,18 @@ class TestScheduleAndSerialization:
         with pytest.raises(InvalidSpec):
             Schedule(0.0, 1.0, 2)
 
-    def test_roundtrips(self):
-        for w in (uniform_window(), truncexp_window(), table_window()):
-            w2 = window_from_dict(window_to_dict(w))
-            assert w2.width == w.width and w2.kind == w.kind
-        sch = Schedule(0.0, 0.5, 1)
-        sch2 = schedule_from_dict(schedule_to_dict(sch))
-        assert sch2 == sch
-        g = truncexp_window()
-        g2 = density_from_dict(density_to_dict(g), 1.0)
-        assert g2.rate == g.rate
+    def test_reads_windows_and_schedule(self):
+        knots = {"times": [0.0, 0.5, 2.0], "values": [0.25, 0.75, 0.25]}
+        uniform = window_from_dict({"dt_window": 1.5, "g": {"kind": "uniform"}})
+        truncexp = window_from_dict({"dt_window": 2.0, "g": {"kind": "truncexp", "rate": 0.5}})
+        table = window_from_dict({"dt_window": 2.0, "g": {"kind": "table", **knots}})
+        assert (uniform.kind, uniform.width, uniform.rate) == ("uniform", 1.5, None)
+        assert (truncexp.kind, truncexp.width, truncexp.rate) == ("truncexp", 2.0, 0.5)
+        assert (table.kind, table.width, table.rate) == ("table", 2.0, None)
+        assert np.array_equal(table.grid_times, knots["times"])
+        assert np.array_equal(table.grid_values, knots["values"])
+        assert uniform.grid_times is None and truncexp.grid_times is None
+        assert schedule_from_dict({"tA": 0.25, "tB": 0.5, "x": 0}) == Schedule(0.25, 0.5, 0)
 
     @pytest.mark.parametrize("read, d, key", [
         (window_from_dict, {"g": {"kind": "uniform"}}, "dt_window"),
