@@ -271,40 +271,66 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cell(bundle: ScenarioBundle, dt=None, dt_window=None):
-    """The (family, window) of one sweep cell: the scenario's with dt or
-    the window length replaced."""
-    family, window = bundle.family, bundle.window
-    if dt is not None:
-        if family.kind not in ("linear", "frozen", "instantaneous"):
-            raise InvalidSpec(f"dt sweep is not supported for kind {family.kind!r}")
-        kind = family.kind if family.kind != "instantaneous" else "linear"
-        family = make_family(kind, family.p0, dt=(float(dt),) * family.size)
-    if dt_window is not None:
-        if window is None:
-            raise InvalidSpec("dt_window sweep needs a window in the scenario")
-        if window.kind == "table":
-            raise InvalidSpec("dt_window sweep is not supported for table densities")
-        window = TimeDensity(window.kind, float(dt_window), rate=window.rate)
-    return family, window
+def _axis(key: str, values, build) -> dict:
+    """{value: build(value)} for one sweep axis, so each value is built once;
+    an error it raises names the value, as `key=value: ...`."""
+    built = {}
+    for v in values:
+        try:
+            built[v] = build(v)
+        except CollapseBoxError as exc:
+            raise type(exc)(f"{key}={v}: {exc}") from None
+    return built
+
+
+def _sweep_families(bundle: ScenarioBundle, dts) -> dict:
+    """The family of each dt: the scenario's with every dt_a set to it."""
+    family = bundle.family
+    if family.kind not in ("linear", "frozen", "instantaneous"):
+        raise InvalidSpec(f"dt sweep is not supported for kind {family.kind!r}")
+    kind = family.kind if family.kind != "instantaneous" else "linear"
+    return _axis("dt", dts, lambda dt: make_family(kind, family.p0, dt=(dt,) * family.size))
+
+
+def _sweep_windows(bundle: ScenarioBundle, widths) -> dict:
+    """The window of each dt_window: the scenario's with its length replaced."""
+    window = bundle.window
+    if window is None:
+        raise InvalidSpec("dt_window sweep needs a window in the scenario")
+    if window.kind == "table":
+        raise InvalidSpec("dt_window sweep is not supported for table densities")
+    return _axis("dt_window", widths, lambda w: TimeDensity(window.kind, w, rate=window.rate))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """One row per cell of the grid's axes, in grid order.
+
+    A cell's fixed-schedule witness (max_tv, elapsed_at_max, capacity,
+    verdict) depends only on its family axes (dt) and n, and every cell
+    runs it at the same seed: it is computed once per (dt, n) and shared
+    by the cells that differ in dt_window alone.
+    """
     bundle = load_scenario(args.scenario)
     grid = parse_sweep_grid(args.grid)
-    # every cell's config, family and window, so a bad --seed or axis value
-    # fails before sweep.csv is opened
+    # every axis value's config, family and window, so a bad --seed or axis
+    # value fails before sweep.csv is opened
     configs = {n: _config(args, n) for n in grid.get("n", [args.n])}
+    families = _sweep_families(bundle, grid["dt"]) if "dt" in grid else {None: bundle.family}
+    windows = (_sweep_windows(bundle, grid["dt_window"]) if "dt_window" in grid
+               else {None: bundle.window})
     cells = [dict(zip(grid, cell)) for cell in itertools.product(*grid.values())]
-    built = [_cell(bundle, dt=c.get("dt"), dt_window=c.get("dt_window")) for c in cells]
+    summaries = {}  # (dt, n) -> the _summary of that witness sweep
     params = {}  # the cell being computed
 
     def rows():
-        for cell, (f, window) in zip(cells, built):
+        for cell in cells:
             params.update(cell)
-            reports = witness_sweep(f, parse_time_grid(None, f),
-                                    configs[cell.get("n", args.n)], alpha=args.alpha)
-            best, cap, verdict = _summary(f, reports)
+            dt, n = cell.get("dt"), cell.get("n", args.n)
+            f, window = families[dt], windows[cell.get("dt_window")]
+            if (dt, n) not in summaries:
+                summaries[dt, n] = _summary(f, witness_sweep(
+                    f, parse_time_grid(None, f), configs[n], alpha=args.alpha))
+            best, cap, verdict = summaries[dt, n]
             th = om = None
             if window is not None:
                 th = theta(window, f.dt_min)

@@ -15,6 +15,7 @@ delta immediately after).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,17 @@ KINDS = ("instantaneous", "linear", "exponential", "frozen", "table")
 # exponential families are clipped to an exact delta once the interpolation
 # weight reaches 1 - EXP_CUTOFF; this defines their finite dt_a
 EXP_CUTOFF = 1e-9
+
+
+def check_elapsed(s: float) -> float:
+    """s as a float; a negative elapsed time is a TimeBeforeTrigger, and NaN
+    an InvalidSpec, wherever a time since the trigger is passed."""
+    s = float(s)
+    if math.isnan(s):
+        raise InvalidSpec(f"elapsed time {s} is not a number")
+    if s < 0:
+        raise TimeBeforeTrigger(f"elapsed time {s} < 0")
+    return s
 
 
 @dataclass(frozen=True)
@@ -82,11 +94,8 @@ class CollapseFamily:
 
     def profile(self, s: float) -> np.ndarray:
         """The matrix f[a, a'] at elapsed time s >= 0."""
-        if s < 0:
-            raise TimeBeforeTrigger(f"elapsed time {s} < 0")
         n = self.size
-        latent = np.arange(n)
-        return self.rows(latent, np.full(n, float(s)))
+        return self.rows(np.arange(n), np.full(n, check_elapsed(s)))
 
     def weights(self, latent: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The weight w of each row (1 - w) P0 + w delta_latent[i] at s[i], for
@@ -248,8 +257,7 @@ def validate_family(f: CollapseFamily, grid) -> ValidationReport:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("validation grid is empty")
-    if grid.min() < 0:
-        raise TimeBeforeTrigger(f"elapsed time {grid.min()} < 0")
+    check_elapsed(grid.min())
     tol = 1e-9
     n = f.size
     m = f.rows(np.tile(np.arange(n), grid.size), np.repeat(grid, n)).reshape(grid.size, n, n)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behaviors import Distribution, make_distribution
-from .collapse import CollapseFamily, marginal_at
+from .collapse import CollapseFamily, check_elapsed, marginal_at
 from .errors import InvalidSpec, NotNormalized
 from .quadrature import integrate
 
@@ -156,10 +156,13 @@ def bob_marginal(f: CollapseFamily, x: int, elapsed: float) -> Distribution:
     x = 0: Alice's input triggers nothing, Bob sees the prior.
     x = 1: the pair collapses to a shared latent outcome at Alice's input;
     Bob's probe at `elapsed` is governed by the collapse family.
-    A negative elapsed time is a TimeBeforeTrigger for either x.
+    A negative or NaN elapsed time raises for either x (`check_elapsed`);
+    x = 0 evaluates no part of the family.
     """
-    evolved = marginal_at(f, elapsed)
-    return evolved if x == 1 else f.p0
+    if x == 1:
+        return marginal_at(f, elapsed)
+    check_elapsed(elapsed)
+    return f.p0
 
 
 def difference_density(g: TimeDensity, u):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -9,8 +10,12 @@ import pytest
 
 import collapsebox
 import collapsebox.cli as cli
+from collapsebox.behaviors import make_distribution
 from collapsebox.cli import main, parse_sweep_grid, parse_time_grid, scenario_hash
+from collapsebox.collapse import make_family
 from collapsebox.errors import CollapseBoxError
+from collapsebox.mc import SimConfig
+from collapsebox.scenarios import TimeDensity, omega, theta
 from collapsebox.signaling import witness_sweep
 
 
@@ -236,6 +241,53 @@ class TestSweepCommand:
         rows = data_section(out / "sweep.csv").splitlines()
         assert len(rows) == 2 and rows[1].startswith("0.5,")
 
+    @pytest.mark.parametrize("spec, calls", [
+        ("dt=0.25,0.5;dt_window=1,2", 2),
+        ("dt_window=0.5,1,2,4", 1),
+        ("dt=0.5;n=100,200;dt_window=1,2", 2),
+    ])
+    def test_one_witness_per_dt_and_n(self, tmp_path, monkeypatch, spec, calls):
+        # cells that differ only in dt_window share one fixed-schedule witness
+        seen = []
+
+        def counting_sweep(*args, **kwargs):
+            seen.append(None)
+            return witness_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "witness_sweep", counting_sweep)
+        scen = tmp_path / "s.json"
+        write_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scen), "--out", str(out),
+                     "--grid", spec, "--n", "200"]) == 0
+        assert len(seen) == calls
+        cells = len(list(itertools.product(*parse_sweep_grid(spec).values())))
+        assert len(data_section(out / "sweep.csv").splitlines()) == 1 + cells
+
+    @pytest.mark.parametrize("spec", ["dt=0.25,0.5;dt_window=1,2",
+                                      "dt_window=1,2;dt=0.25,0.5",
+                                      "n=300,600;dt_window=1,2"])
+    def test_rows_match_cell_by_cell_library_calls(self, tmp_path, spec):
+        scen = tmp_path / "s.json"
+        raw = write_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scen), "--out", str(out),
+                     "--grid", spec, "--n", "400", "--seed", "3"]) == 0
+        grid = parse_sweep_grid(spec)
+        p0 = make_distribution(raw["p0"])
+        lines = [",".join(grid) + ",theta,omega,max_tv,elapsed_at_max,capacity,verdict"]
+        for values in itertools.product(*grid.values()):
+            cell = dict(zip(grid, values))
+            dt = (cell["dt"],) * 2 if "dt" in cell else raw["family"]["dt"]
+            f = make_family("frozen", p0, dt=dt)
+            window = TimeDensity("uniform", cell.get("dt_window", 1.0))
+            reports = witness_sweep(f, parse_time_grid(None, f), SimConfig(cell.get("n", 400), 3))
+            best, cap, verdict = cli._summary(f, reports)
+            row = values + (theta(window, f.dt_min), omega(window, f.dt_min),
+                            best.tv_analytic, best.elapsed, cap, verdict)
+            lines.append(",".join(cli._fmt(v) for v in row))
+        assert data_section(out / "sweep.csv") == "\n".join(lines)
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, overrides, named", [
@@ -282,9 +334,9 @@ class TestMalformedInput:
                                              "values": [0.5, 1.5, 0.5]}}}, "table densities"),
         (["sweep", "--grid", "dt=0.5;dt=1.0"], {}, "'dt' is given twice"),
         (["sweep", "--grid", "dt_window=0"], {}, "window width"),
-        (["sweep", "--grid", "dt_window=-1,1"], {}, "window width"),
+        (["sweep", "--grid", "dt_window=-1,1"], {}, "dt_window=-1.0: window width"),
         (["sweep", "--grid", "dt=-1"], {}, "collapse durations"),
-        (["sweep", "--grid", "dt=0.5,-1"], {}, "collapse durations"),
+        (["sweep", "--grid", "dt=0.5,-1"], {}, "dt=-1.0: collapse durations"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
             "schedule-tB", "schedule-x", "schedule-x-float",

@@ -256,9 +256,11 @@ class TestValidateFamily:
     lambda f, s: simulate_single(f, s, SimConfig(10, 0)),
 ], ids=["profile", "marginal_at", "bob_marginal-x0", "bob_marginal-x1", "simulate_single"])
 def test_negative_elapsed_time_before_trigger(call):
-    # one error for a negative elapsed time, raised by CollapseFamily.profile
+    # one error for a negative elapsed time, raised by collapse.check_elapsed
     with pytest.raises(TimeBeforeTrigger, match="-0.25 < 0"):
         call(asym_family(), -0.25)
+    with pytest.raises(InvalidSpec, match="nan is not a number"):
+        call(asym_family(), float("nan"))
 
 
 class TestMarginalAt:
