@@ -92,10 +92,14 @@ class CollapseFamily:
         kinks = np.union1d(0.0, self.kink_times)
         return np.concatenate([kinks, 0.5 * (kinks[1:] + kinks[:-1]), [kinks[-1] + 1.0]])
 
-    def profile(self, s: float) -> np.ndarray:
-        """The matrix f[a, a'] at elapsed time s >= 0."""
+    def profile(self, s: float | np.ndarray) -> np.ndarray:
+        """The matrix f[a, a'] at elapsed time s >= 0, of shape (n, n); for a 1-D
+        array of m times, one such matrix per time, of shape (m, n, n)."""
+        s = np.asarray(s, dtype=float)
+        check_elapsed(s.min(initial=0.0))
         n = self.size
-        return self.rows(np.arange(n), np.full(n, check_elapsed(s)))
+        m = self.rows(np.tile(np.arange(n), s.size), np.repeat(s, n))
+        return m.reshape(s.shape + (n, n))
 
     def weights(self, latent: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The weight w of each row (1 - w) P0 + w delta_latent[i] at s[i], for
@@ -136,16 +140,7 @@ class CollapseFamily:
 
     def rows(self, latent: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Vectorized f_{latent[i], .}(s[i]); returns shape (len(latent), n)."""
-        latent = np.asarray(latent, dtype=int)
-        if self.kind == "table":
-            return np.stack(list(self.columns(latent, s)), axis=1)
-        # the mixture of `columns` as one 2-D broadcast: `marginal_at` calls this
-        # once per witness time, where stacking n columns from `columns` raised
-        # traced witness-sweep `collapse.rows` self time from 0.026 to 0.039 s
-        w = self.weights(latent, s)
-        out = (1.0 - w)[:, None] * self.p0.weights[None, :]
-        out[np.arange(latent.shape[0]), latent] += w
-        return out
+        return np.stack(list(self.columns(latent, s)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ def make_family(kind: str, p0: Distribution, *, dt=None, rates=None,
             raise InvalidSpec(
                 f"grid_values shape {values.shape} != {(times.size, n, n)}"
             )
-        dt = _table_collapse_times(times, values, n, strict=validate)
+        dt = _table_collapse_times(times, values, n)
         fam = CollapseFamily("table", p0, dt, grid_times=times, grid_values=values)
 
     if validate:
@@ -229,8 +224,10 @@ def _floats(values, message: str, shape=None) -> np.ndarray:
     return v
 
 
-def _table_collapse_times(times, values, n, strict=True):
-    """Per-outcome dt_a: the earliest grid time from which row a stays a delta."""
+def _table_collapse_times(times, values, n):
+    """Per-outcome dt_a: the earliest grid time from which row a stays a delta.
+    A row that never reaches its delta gets the last knot, where
+    `validate_family` reports it under clause 'final'."""
     eye = np.eye(n)
     dt = np.empty(n)
     for a in range(n):
@@ -239,28 +236,21 @@ def _table_collapse_times(times, values, n, strict=True):
         k = times.size
         while k > 0 and is_delta[k - 1]:
             k -= 1
-        if k == times.size:
-            if strict:
-                raise BoundaryViolation(
-                    f"table row for outcome {a} never reaches its delta"
-                )
-            k = times.size - 1  # let the validator report the clause
-        dt[a] = times[k]
+        dt[a] = times[min(k, times.size - 1)]
     return dt
 
 
 def validate_family(f: CollapseFamily, grid) -> ValidationReport:
     """Check all three boundary clauses plus [0,1] range on every grid point.
 
-    All rows are evaluated in one `rows` call: m[k, a] is f_a(grid[k]).
+    All rows are evaluated in one `profile` call: m[k, a] is f_a(grid[k]).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("validation grid is empty")
-    check_elapsed(grid.min())
     tol = 1e-9
     n = f.size
-    m = f.rows(np.tile(np.arange(n), grid.size), np.repeat(grid, n)).reshape(grid.size, n, n)
+    m = f.profile(grid)
     collapsed = (grid[:, None] >= f.dt[None, :]) & (grid[:, None] > 0)
     final = np.abs(m - np.eye(n)).max(axis=2)[collapsed]
     worst = {

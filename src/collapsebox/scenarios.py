@@ -43,6 +43,9 @@ from .errors import InvalidSpec, NotNormalized
 from .quadrature import integrate
 
 _TOL = 1e-9  # absolute tolerance of every window-layer integral
+# a truncexp window holds its mass within a few 1/rate of 0; past this
+# rate * width the quadrature needs too many bisections to resolve it
+MAX_RATE_WIDTH = 1e6
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,9 @@ class TimeDensity:
         elif self.kind == "truncexp":
             if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
                 raise InvalidSpec("truncexp needs a finite positive rate")
+            if self.rate * self.width > MAX_RATE_WIDTH:
+                raise InvalidSpec(f"truncexp rate * width {self.rate * self.width:.6g} "
+                                  f"exceeds {MAX_RATE_WIDTH:g}")
         elif self.kind == "table":
             try:
                 t = np.asarray(self.grid_times, dtype=float)
@@ -93,7 +99,7 @@ class TimeDensity:
         if self.kind == "uniform":
             out = np.where(inside, 1.0 / self.width, 0.0)
         elif self.kind == "truncexp":
-            norm = 1.0 - math.exp(-self.rate * self.width)
+            norm = -math.expm1(-self.rate * self.width)
             out = np.where(inside, self.rate * np.exp(-self.rate * t) / norm, 0.0)
         else:
             out = np.where(inside, np.interp(t, self.grid_times, self.grid_values,
@@ -112,7 +118,7 @@ class TimeDensity:
         if self.kind == "uniform":
             return u * self.width
         if self.kind == "truncexp":
-            norm = 1.0 - np.exp(-self.rate * self.width)
+            norm = -math.expm1(-self.rate * self.width)
             return -np.log1p(-u * norm) / self.rate
         t, v = self.grid_times, self.grid_values
         widths = np.diff(t)
@@ -127,9 +133,13 @@ class TimeDensity:
         return t[i] + np.clip(x, 0.0, widths[i])
 
     def breakpoints(self):
-        """Kinks of g and of its difference density: every knot difference of a table."""
+        """Kinks of g and of its difference density: every knot difference of a
+        table. A truncexp density gets 2**k / rate for k = 0..5, so that some
+        Gauss node lands where its difference density still has mass."""
         if self.kind == "table":
             return tuple(np.unique(np.abs(np.subtract.outer(self.grid_times, self.grid_times))))
+        if self.kind == "truncexp":
+            return tuple(2.0**k / self.rate for k in range(6))
         return ()
 
 
@@ -170,7 +180,8 @@ def difference_density(g: TimeDensity, u):
 
     u is a float or an array, like `TimeDensity.pdf`'s argument; h is 0
     outside [0, W]. uniform: ``(W - u) / W^2``; truncexp (rate lam):
-    ``lam e^{-lam u} (1 - e^{-2 lam (W - u)}) / (2 N^2)`` with ``N = 1 - e^{-lam W}``;
+    ``lam e^{-lam u} (1 - e^{-2 lam (W - u)}) / (2 N^2)`` with ``N = 1 - e^{-lam W}``,
+    both differences of 1 taken by expm1 so that a tiny rate keeps its digits;
     table: g(t) g(t + u) is quadratic between the knots merged with the
     knots shifted by -u, so Simpson's rule is exact on each piece. Those
     merged knots are sorted one row per u; a repeated knot adds an empty piece.
@@ -181,9 +192,9 @@ def difference_density(g: TimeDensity, u):
     if g.kind == "uniform":
         out = (width - v) / width**2
     elif g.kind == "truncexp":
-        lam, norm = g.rate, 1.0 - math.exp(-g.rate * width)
-        out = (lam * np.exp(-lam * v) * (1.0 - np.exp(-2.0 * lam * (width - v)))
-               / (2.0 * norm**2))
+        lam, norm = g.rate, -math.expm1(-g.rate * width)
+        # lam / norm first: norm**2 underflows for a rate below about 1e-154
+        out = lam / norm * np.exp(-lam * v) * -np.expm1(-2.0 * lam * (width - v)) / (2.0 * norm)
     else:
         knots, values = g.grid_times, g.grid_values
         v = v.reshape(-1, 1)
@@ -224,12 +235,9 @@ def _window_mixture(f: CollapseFamily, g: TimeDensity, hi: float, weight: float)
     Normalization beyond 1e-6 is a NotNormalized error, never silently repaired.
     """
     p0 = f.p0.weights
-    k = f.size
 
     def drift(u):
-        # rows[i, a] is f_a(u[i]), laid out as validate_family lays out its grid
-        rows = f.rows(np.tile(np.arange(k), u.size), np.repeat(u, k)).reshape(u.size, k, k)
-        return (p0 @ rows - p0) * difference_density(g, u)[:, None]
+        return (p0 @ f.profile(u) - p0) * difference_density(g, u)[:, None]
 
     out = p0 + weight * integrate(drift, 0.0, hi, tol=_TOL,
                                   breakpoints=tuple(f.kink_times) + g.breakpoints()).value

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,18 @@ class TestSimulateCommand:
                    "--n", "0"])
         assert rc == 1
 
+    def test_tiny_truncexp_rate(self, tmp_path, capsys):
+        # 1 - exp(-rate W) rounds to 0 at this rate; the window is the uniform one
+        scen = tmp_path / "s.json"
+        write_scenario(scen, schedule=None,
+                       window={"dt_window": 1.0, "g": {"kind": "truncexp", "rate": 1e-17}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path),
+                       "--n", "20000", "--seed", "1"])
+        assert rc == 0
+        assert "gof vs analytic" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def test_theta_column(self, tmp_path):
@@ -337,6 +350,9 @@ class TestMalformedInput:
         (["sweep", "--grid", "dt_window=-1,1"], {}, "dt_window=-1.0: window width"),
         (["sweep", "--grid", "dt=-1"], {}, "collapse durations"),
         (["sweep", "--grid", "dt=0.5,-1"], {}, "dt=-1.0: collapse durations"),
+        (["sweep", "--grid", "dt_window=1,10"],
+         {"window": {"dt_window": 1.0, "g": {"kind": "truncexp", "rate": 1e6}}},
+         "dt_window=10.0: truncexp rate * width 1e+07 exceeds 1e+06"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
             "schedule-tB", "schedule-x", "schedule-x-float",
@@ -346,7 +362,7 @@ class TestMalformedInput:
             "grid-range-inf", "sweep-nan", "sweep-seed-negative", "sweep-n-zero",
             "sweep-dt-exponential", "sweep-no-window", "sweep-table-window",
             "sweep-axis-twice", "sweep-window-zero", "sweep-window-negative",
-            "sweep-dt-negative", "sweep-dt-negative-second-cell"])
+            "sweep-dt-negative", "sweep-dt-negative-second-cell", "sweep-window-rate-limit"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"
         write_scenario(scen, **overrides)

@@ -93,7 +93,7 @@ class TestMakeFamily:
 
     def test_table_never_collapsing_rejected(self):
         prior = [[0.3, 0.7], [0.3, 0.7]]
-        with pytest.raises(BoundaryViolation):
+        with pytest.raises(BoundaryViolation, match="'final' by 7.000e-01"):
             make_family("table", P0, grid_times=(0.0, 1.0),
                         grid_values=(prior, prior))
 
@@ -175,6 +175,17 @@ class TestRows:
         for f in self.families():
             assert np.array_equal(f.profile(np.inf), np.eye(f.size)), f.kind
 
+    def test_profile_of_times_stacks_profiles(self):
+        rng = np.random.default_rng(5)
+        for f in self.families():
+            n = f.size
+            times = np.concatenate([[0.0, np.inf], f.dt, f.kink_times,
+                                    rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 20)])
+            assert np.array_equal(f.profile(times),
+                                  np.stack([f.profile(t) for t in times])), f.kind
+            assert f.profile(0.5).shape == (n, n)
+            assert f.profile(np.array([])).shape == (0, n, n)
+
 
 class TestValidateFamily:
     @pytest.mark.parametrize("fam", builtin_families(),
@@ -250,11 +261,12 @@ class TestValidateFamily:
 
 @pytest.mark.parametrize("call", [
     lambda f, s: f.profile(s),
+    lambda f, s: f.profile(np.array([0.5, s])),
     marginal_at,
     lambda f, s: bob_marginal(f, 0, s),
     lambda f, s: bob_marginal(f, 1, s),
     lambda f, s: simulate_single(f, s, SimConfig(10, 0)),
-], ids=["profile", "marginal_at", "bob_marginal-x0", "bob_marginal-x1", "simulate_single"])
+], ids=["profile", "profile-array", "marginal_at", "bob_marginal-x0", "bob_marginal-x1", "simulate_single"])
 def test_negative_elapsed_time_before_trigger(call):
     # one error for a negative elapsed time, raised by collapse.check_elapsed
     with pytest.raises(TimeBeforeTrigger, match="-0.25 < 0"):

@@ -9,6 +9,7 @@ from collapsebox.behaviors import make_distribution, tv_distance
 from collapsebox.cli import schedule_from_dict, window_from_dict
 from collapsebox.collapse import make_family
 from collapsebox.errors import InvalidSpec, NotNormalized, TimeBeforeTrigger
+from collapsebox.mc import SimConfig, gof_test, simulate_window
 from collapsebox.scenarios import (
     Schedule,
     TimeDensity,
@@ -217,6 +218,51 @@ class TestOmega:
             r = integrate(lambda u: difference_density(w, u), 0.0, w.width,
                           tol=1e-8)
             assert r.value == pytest.approx(0.5, abs=1e-6)
+
+
+class TestTruncexpExtremeRates:
+    """p0 (.2, .3, .5), linear dt (.25, .5, 1) and a truncexp window of W = 1."""
+
+    P3 = make_distribution([0.2, 0.3, 0.5])
+    DT = np.array([0.25, 0.5, 1.0])
+
+    def linear3(self):
+        return make_family("linear", self.P3, dt=self.DT)
+
+    @pytest.mark.parametrize("rate", [1e-17, 1e-9])
+    def test_tiny_rate_is_the_uniform_window(self, rate):
+        # g differs from the uniform density at first order in the rate, but
+        # h = g * g(. + u) does not, so the limit is reached to O(rate^2)
+        g = truncexp_window(1.0, rate)
+        assert abs(theta(g, 0.25) - 0.4375) <= 1e-12
+        got = window_marginal(self.linear3(), g).weights
+        assert np.abs(got - [0.2275, 0.313125, 0.459375]).max() <= 1e-12
+
+    @pytest.mark.parametrize("rate", [1e3, 1e4, 1e6])
+    def test_sharp_window_closed_forms(self, rate):
+        width, d = 1.0, 0.25
+        norm = -math.expm1(-rate * width)
+        exact = ((-math.expm1(-rate * d) - math.exp(rate * (d - 2 * width))
+                  + math.exp(-2 * rate * width)) / (2 * norm**2))
+        g = truncexp_window(width, rate)
+        assert abs(omega(g, d) - exact) <= 1e-12
+        # h's mass lies far below dt_min, where every row is linear in u, so
+        # the drift is P0 (1/dt - <P0, 1/dt>) times the mean of u against h, 1/(2 rate)
+        p0 = self.P3.weights
+        drift = p0 * (1 / self.DT - p0 @ (1 / self.DT)) / (2 * rate)
+        got = window_marginal(self.linear3(), g).weights
+        assert np.abs(got - (p0 + drift)).max() <= 1e-12
+
+    def test_sharp_window_sampled(self):
+        f, g = self.linear3(), truncexp_window(1.0, 1e4)
+        e = simulate_window(f, g, SimConfig(1_000_000, 23))
+        assert not gof_test(e, window_marginal(f, g), alpha=0.01).reject
+
+    def test_rate_width_limit(self):
+        assert truncexp_window(1.0, 1e6).rate == 1e6
+        for width, rate in ((1.0, 1e7), (10.0, 1e6)):
+            with pytest.raises(InvalidSpec, match=r"truncexp rate \* width 1e\+07 exceeds 1e\+06"):
+                truncexp_window(width, rate)
 
 
 class TestWindowMarginal:
