@@ -76,9 +76,9 @@ class CollapseFamily:
     @property
     def kink_times(self) -> np.ndarray:
         """Sorted times where some row is not smooth: each dt_a, and a table's
-        knots up to dt_max (beyond it every row is a delta)."""
+        knots up to dt_max, which hold every dt_a (beyond it every row is a delta)."""
         if self.kind == "table":
-            return np.union1d(self.dt, self.grid_times[self.grid_times <= self.dt_max])
+            return self.grid_times[self.grid_times <= self.dt_max]
         return np.unique(self.dt)
 
     @property
@@ -103,22 +103,22 @@ class CollapseFamily:
 
     def weights(self, latent: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The weight w of each row (1 - w) P0 + w delta_latent[i] at s[i], for
-        every kind but table, whose rows are no such mixture."""
-        latent = np.asarray(latent, dtype=int)
+        every kind but table, whose rows are no such mixture. From dt_a on, row
+        a is the delta (w = 1) except at s = 0; before dt_a it follows the
+        kind's ramp: linear s / dt_a, exponential 1 - e^{-r_a s}, frozen and
+        instantaneous none (w = 0)."""
         s = np.asarray(s, dtype=float)
-        dt_l = self.dt[latent]
-
-        if self.kind == "frozen":
-            return ((s > 0) & (s >= dt_l)).astype(float)
-        if self.kind in ("instantaneous", "linear"):  # dt = 0 gives s > 0
+        dt_l = self.dt.take(latent)
+        if self.kind == "linear":  # s / dt_l is discarded at s >= dt_l, where dt_l may be 0
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return np.where(dt_l > 0, np.clip(s / np.where(dt_l > 0, dt_l, 1.0), 0, 1),
-                                (s > 0).astype(float))
-        if self.kind == "exponential":
-            w = 1.0 - np.exp(-self.rates[latent] * s)
-            w = np.where(s >= dt_l, 1.0, w)  # exact delta beyond the cutoff
-            return np.where(s <= 0, 0.0, w)
-        raise InvalidSpec(f"a {self.kind!r} family has no mixture weight")
+                ramp = s / dt_l
+        elif self.kind == "exponential":
+            ramp = 1.0 - np.exp(-self.rates.take(latent) * np.minimum(s, dt_l))
+        elif self.kind in ("frozen", "instantaneous"):
+            ramp = 0.0
+        else:
+            raise InvalidSpec(f"a {self.kind!r} family has no mixture weight")
+        return np.where(s >= dt_l, s > 0, ramp)
 
     def columns(self, latent: np.ndarray, s: np.ndarray):
         """Column a' of `rows(latent, s)` for each a' in turn, equal to it bit

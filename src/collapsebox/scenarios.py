@@ -214,8 +214,8 @@ def difference_density(g: TimeDensity, u):
 
 def omega(g: TimeDensity, dt_min: float) -> float:
     """Omega = P(0 <= D <= dt_min), the integral of h over [0, min(dt_min, W)]."""
-    if dt_min < 0:
-        raise InvalidSpec("dt_min must be non-negative")
+    if not dt_min >= 0:  # NaN too
+        raise InvalidSpec(f"dt_min must be non-negative, got {dt_min}")
     r = integrate(lambda u: difference_density(g, u), 0.0, min(dt_min, g.width),
                   tol=_TOL, breakpoints=g.breakpoints())
     return min(max(r.value, 0.0), 1.0)

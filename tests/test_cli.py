@@ -193,6 +193,17 @@ class TestSimulateCommand:
         assert rc == 0
         assert "gof vs analytic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["witness", "simulate"])
+    def test_huge_rate_raises_no_warning(self, tmp_path, command):
+        # rate * s would overflow past dt_a = 2.1e-307, where every row is the delta
+        scen = tmp_path / "s.json"
+        write_scenario(scen, family={"kind": "exponential", "rates": [1e308, 1.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--scenario", str(scen), "--out", str(tmp_path),
+                       "--n", "2000", "--seed", "1"])
+        assert rc == 0
+
 
 class TestSweepCommand:
     def test_theta_column(self, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,20 +100,29 @@ class TestMakeFamily:
                         grid_values=(prior, prior))
 
 
+def strict(call, *args):
+    """call(*args) with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call(*args)
+
+
 def mixture_weight(f, latent, s):
     """The weight w of the mixture (1 - w) P0 + w eye[latent] of each kind
-    but table."""
+    but table. Its ramps overflow where they are discarded, at a subnormal dt
+    or a huge rate."""
     dt = f.dt[latent]
     if f.kind == "instantaneous":
         return (s > 0).astype(float)
     if f.kind == "frozen":
         return ((s > 0) & (s >= dt)).astype(float)
-    if f.kind == "linear":
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if f.kind == "linear":
             return np.where(dt > 0, np.clip(s / np.where(dt > 0, dt, 1.0), 0, 1),
                             (s > 0).astype(float))
-    # exponential, clipped to the delta from dt on
-    return np.where(s <= 0, 0.0, np.where(s >= dt, 1.0, 1.0 - np.exp(-f.rates[latent] * s)))
+        # exponential, clipped to the delta from dt on
+        return np.where(s <= 0, 0.0,
+                        np.where(s >= dt, 1.0, 1.0 - np.exp(-f.rates[latent] * s)))
 
 
 def mixture_rows(f, latent, s):
@@ -135,35 +146,43 @@ class TestRows:
         return [
             make_family("instantaneous", self.P3),
             make_family("linear", self.P3, dt=(0.0, 0.3, 1.1)),
+            make_family("linear", self.P3, dt=(5e-324, 0.3, 1.1)),  # s / dt overflows
             make_family("frozen", self.P3, dt=(0.0, 0.7, 0.3)),
             make_family("exponential", self.P3, rates=(2.0, 7.0, 30.0)),
+            make_family("exponential", self.P3, rates=(1e308, 2.0, 30.0)),  # r s overflows
             make_family("table", self.P3, grid_times=(0.0, 0.5, 1.0),
                         grid_values=table_values),
         ]
 
     def test_equals_mixture_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        for f in self.families():
-            latent = np.arange(f.size)
-            for s in (np.zeros(f.size), f.dt.copy(), np.full(f.size, np.inf),
-                      rng.uniform(0.0, 1.2 * f.dt_max + 0.1, f.size)):
-                assert np.array_equal(f.rows(latent, s), mixture_rows(f, latent, s)), (f.kind, s)
-            many = rng.integers(0, f.size, 500)
-            s = rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 500)
-            assert np.array_equal(f.rows(many, s), mixture_rows(f, many, s)), f.kind
-            assert np.array_equal(np.stack(list(f.columns(many, s)), axis=1),
-                                  f.rows(many, s)), f.kind
+        for f in strict(self.families):
+            for dtype in (int, np.uint8):  # mc draws uint8 latents
+                latent = np.arange(f.size, dtype=dtype)
+                for s in (np.zeros(f.size), f.dt.copy(), np.full(f.size, np.inf),
+                          rng.uniform(0.0, 1.2 * f.dt_max + 0.1, f.size)):
+                    expected = mixture_rows(f, latent, s)
+                    assert np.array_equal(strict(f.rows, latent, s), expected), (f.kind, s)
+                many = rng.integers(0, f.size, 500).astype(dtype)
+                s = rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 500)
+                expected = mixture_rows(f, many, s)
+                assert np.array_equal(strict(f.rows, many, s), expected), f.kind
+                assert np.array_equal(np.stack(strict(list, f.columns(many, s)), axis=1),
+                                      expected), f.kind
 
     def test_weights_equal_mixture_weight(self):
         rng = np.random.default_rng(4)
-        for f in self.families()[:-1]:
-            latent = np.arange(f.size)
-            for s in (np.zeros(f.size), f.dt.copy(), np.full(f.size, np.inf),
-                      rng.uniform(0.0, 1.2 * f.dt_max + 0.1, f.size)):
-                assert np.array_equal(f.weights(latent, s), mixture_weight(f, latent, s)), (f.kind, s)
-            many = rng.integers(0, f.size, 500)
-            s = rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 500)
-            assert np.array_equal(f.weights(many, s), mixture_weight(f, many, s)), f.kind
+        for f in strict(self.families)[:-1]:
+            for dtype in (int, np.uint8):
+                latent = np.arange(f.size, dtype=dtype)
+                for s in (np.zeros(f.size), f.dt.copy(), np.full(f.size, np.inf),
+                          rng.uniform(0.0, 1.2 * f.dt_max + 0.1, f.size)):
+                    expected = mixture_weight(f, latent, s)
+                    assert np.array_equal(strict(f.weights, latent, s), expected), (f.kind, s)
+                many = rng.integers(0, f.size, 500).astype(dtype)
+                s = rng.uniform(0.0, 1.2 * f.dt_max + 0.1, 500)
+                expected = mixture_weight(f, many, s)
+                assert np.array_equal(strict(f.weights, many, s), expected), f.kind
 
     def test_table_has_no_mixture_weight(self):
         table = self.families()[-1]

@@ -190,6 +190,11 @@ class TestOmega:
     def test_zero_dt(self):
         assert omega(uniform_window(), 0.0) == 0.0
 
+    @pytest.mark.parametrize("evaluator", [omega, theta])
+    def test_nan_dt_min_is_invalid(self, evaluator):
+        with pytest.raises(InvalidSpec, match="dt_min must be non-negative, got nan"):
+            evaluator(uniform_window(), float("nan"))
+
     def test_uniform_half_by_symmetry(self):
         assert omega(uniform_window(), 1.0) == pytest.approx(0.5, abs=1e-6)
 
