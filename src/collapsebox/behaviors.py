@@ -75,10 +75,12 @@ class BoxBehavior:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 4:
             raise WrongScenarioShape(f"expected 4 axes (x,y,a,b), got {t.ndim}")
+        if t.size == 0:
+            raise EmptyAlphabet(f"behavior table has an empty axis: shape {t.shape}")
         if np.any(t < -1e-15):
             raise NegativeWeight("negative entry in behavior table")
         sums = t.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if not np.all(np.abs(sums - 1.0) <= 1e-9):  # also rejects NaN and inf
             raise NotNormalized(
                 f"per-(x,y) sums deviate from 1 by up to {np.abs(sums - 1).max():.3e}"
             )
@@ -108,26 +110,31 @@ class LocalityReport:
 
 
 def is_nonsignaling(b: BoxBehavior, tol: float = 1e-9) -> NonsignalingReport:
-    """Check that each party's marginal is independent of the remote input."""
+    """Check that each party's marginal is independent of the remote input.
+
+    Reports the first largest gap, Alice's on a tie with Bob's.
+    """
     t = b.table
-    nx, ny, na, nb = t.shape
-    worst = 0.0
-    where = None
-    # Alice marginal P(a|x, y) must not depend on y
-    pa = t.sum(axis=3)  # (x, y, a)
-    for x in range(nx):
-        for a in range(na):
-            v = float(pa[x, :, a].max() - pa[x, :, a].min())
-            if v > worst:
-                worst, where = v, ("alice", a, x, tuple(range(ny)))
-    # Bob marginal P(b|y, x) must not depend on x
-    pb = t.sum(axis=2)  # (x, y, b)
-    for y in range(ny):
-        for bb in range(nb):
-            v = float(pb[:, y, bb].max() - pb[:, y, bb].min())
-            if v > worst:
-                worst, where = v, ("bob", bb, y, tuple(range(nx)))
+    nx, ny = t.shape[:2]
+    pa, pb = t.sum(axis=3), t.sum(axis=2)  # (x, y, a) and (x, y, b)
+    gap_a = pa.max(1) - pa.min(1)  # (x, a): Alice's marginal over Bob's y
+    gap_b = pb.max(0) - pb.min(0)  # (y, b): Bob's marginal over Alice's x
+    x, a = np.unravel_index(gap_a.argmax(), gap_a.shape)
+    y, bb = np.unravel_index(gap_b.argmax(), gap_b.shape)
+    if gap_b[y, bb] > gap_a[x, a]:
+        worst, where = float(gap_b[y, bb]), ("bob", int(bb), int(y), tuple(range(nx)))
+    else:
+        worst, where = float(gap_a[x, a]), ("alice", int(a), int(x), tuple(range(ny)))
     return NonsignalingReport(worst <= tol, worst, None if worst <= tol else where)
+
+
+def _one_hot(outputs, n_out: int) -> np.ndarray:
+    """Deterministic strategies as tables: entry [..., x, a] is 1 iff the
+    strategy outputs a on input x; shape (..., n_in, n_out)."""
+    o = np.asarray(outputs)
+    if o.size and not (o.dtype.kind in "iu" and 0 <= o.min() and o.max() < n_out):
+        raise AlphabetMismatch(f"outputs {o.tolist()} are not integers in range({n_out})")
+    return np.eye(n_out)[o.astype(int)]  # an empty list arrives as float
 
 
 def local_deterministic_vertices(nx, ny, na, nb) -> np.ndarray:
@@ -142,15 +149,9 @@ def local_deterministic_vertices(nx, ny, na, nb) -> np.ndarray:
         raise ScenarioTooLarge(
             f"{n_vertices} deterministic strategies exceed enumeration guard"
         )
-    verts = np.zeros((n_vertices, nx, ny, na, nb))
-    i = 0
-    for fa in itertools.product(range(na), repeat=nx):
-        for gb in itertools.product(range(nb), repeat=ny):
-            for x in range(nx):
-                for y in range(ny):
-                    verts[i, x, y, fa[x], gb[y]] = 1.0
-            i += 1
-    return verts.reshape(n_vertices, -1)
+    fa = _one_hot(list(itertools.product(range(na), repeat=nx)), na)
+    gb = _one_hot(list(itertools.product(range(nb), repeat=ny)), nb)
+    return np.einsum("ixa,jyb->ijxyab", fa, gb).reshape(n_vertices, -1)
 
 
 def is_local(b: BoxBehavior, tol: float = 1e-9) -> LocalityReport:
@@ -175,9 +176,7 @@ def is_local(b: BoxBehavior, tol: float = 1e-9) -> LocalityReport:
     b_ub = np.concatenate([p, -p])
     a_eq = np.zeros((1, nv + 1))
     a_eq[0, :nv] = 1.0
-    bounds = [(0, None)] * nv + [(0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds,
-                  method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs")
     if not res.success:
         raise RuntimeError(f"feasibility LP failed: {res.message}")
     residual = float(res.x[-1])
@@ -213,26 +212,17 @@ def chsh_value(b: BoxBehavior) -> float:
 
 def pr_box() -> BoxBehavior:
     """The extremal non-signaling box: P = 1/2 iff a xor b = x*y."""
-    t = np.zeros((2, 2, 2, 2))
-    for x, y, a, bb in itertools.product(range(2), repeat=4):
-        if (a ^ bb) == (x * y):
-            t[x, y, a, bb] = 0.5
-    return BoxBehavior(t)
+    x, y, a, bb = np.indices((2,) * 4)
+    return BoxBehavior(0.5 * ((a ^ bb) == x * y))
 
 
 def uniform_box(nx=2, ny=2, na=2, nb=2) -> BoxBehavior:
-    t = np.full((nx, ny, na, nb), 1.0 / (na * nb))
-    return BoxBehavior(t)
+    return BoxBehavior(np.ones((nx, ny, na, nb)) / (na * nb))
 
 
 def deterministic_box(fa, gb, na=2, nb=2) -> BoxBehavior:
     """Local deterministic box a = fa[x], b = gb[y]."""
-    nx, ny = len(fa), len(gb)
-    t = np.zeros((nx, ny, na, nb))
-    for x in range(nx):
-        for y in range(ny):
-            t[x, y, fa[x], gb[y]] = 1.0
-    return BoxBehavior(t)
+    return BoxBehavior(np.einsum("xa,yb->xyab", _one_hot(fa, na), _one_hot(gb, nb)))
 
 
 def product_box(p: Distribution, q: Distribution, nx=2, ny=2) -> BoxBehavior:

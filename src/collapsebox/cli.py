@@ -218,10 +218,8 @@ def _summary(f: CollapseFamily, reports):
 def cmd_witness(args: argparse.Namespace) -> int:
     bundle = load_scenario(args.scenario)
     f = bundle.family
-    grid = parse_time_grid(args.grid, f)
-    if grid.size == 0:
-        raise EmptyGrid("witness grid is empty")
-    reports = witness_sweep(f, grid, _config(args), alpha=args.alpha)
+    reports = witness_sweep(f, parse_time_grid(args.grid, f), _config(args),
+                            alpha=args.alpha)
 
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "witness.csv")

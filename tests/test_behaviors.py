@@ -26,6 +26,38 @@ from collapsebox.errors import (
 )
 
 
+def vertices_oracle(nx, ny, na, nb):
+    """Reference loops: one table per (Alice, Bob) strategy pair, Alice-major."""
+    verts = []
+    for fa in itertools.product(range(na), repeat=nx):
+        for gb in itertools.product(range(nb), repeat=ny):
+            t = np.zeros((nx, ny, na, nb))
+            for x in range(nx):
+                for y in range(ny):
+                    t[x, y, fa[x], gb[y]] = 1.0
+            verts.append(t.reshape(-1))
+    return np.array(verts)
+
+
+def nonsignaling_oracle(t):
+    """Reference loops: the first largest marginal gap, Alice's before Bob's."""
+    nx, ny, na, nb = t.shape
+    worst, where = 0.0, None
+    pa = t.sum(axis=3)
+    for x in range(nx):
+        for a in range(na):
+            v = float(pa[x, :, a].max() - pa[x, :, a].min())
+            if v > worst:
+                worst, where = v, ("alice", a, x, tuple(range(ny)))
+    pb = t.sum(axis=2)
+    for y in range(ny):
+        for bb in range(nb):
+            v = float(pb[:, y, bb].max() - pb[:, y, bb].min())
+            if v > worst:
+                worst, where = v, ("bob", bb, y, tuple(range(nx)))
+    return worst, where
+
+
 class TestMakeDistribution:
     def test_fair_coin(self):
         d = make_distribution([0.5, 0.5])
@@ -102,6 +134,31 @@ class TestNonsignaling:
         assert rep.max_violation == pytest.approx(0.5, abs=1e-12)
         assert rep.violating_marginal[0] == "bob"
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 3), (1, 4, 2, 1)])
+    def test_matches_loop_oracle(self, shape):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            t = rng.random(shape)
+            t /= t.sum(axis=(2, 3), keepdims=True)
+            rep = is_nonsignaling(BoxBehavior(t))
+            worst, where = nonsignaling_oracle(t)
+            assert rep.max_violation == worst
+            assert rep.violating_marginal == where
+            assert rep.passed is False
+
+    def test_tie_reports_alice(self):
+        # a product table where y = 0 moves Alice's marginal at x = 0, and
+        # x = 0 moves Bob's at y = 0, both by 0.5
+        half, zero = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+        t = np.array([[np.outer(pa, pb) for pa, pb in row] for row in [
+            [(zero, zero), (half, half)],
+            [(half, half), (half, half)],
+        ]])
+        rep = is_nonsignaling(BoxBehavior(t))
+        pa, pb = t.sum(axis=3), t.sum(axis=2)
+        assert (pa.max(1) - pa.min(1)).max() == (pb.max(0) - pb.min(0)).max() == 0.5
+        assert rep.violating_marginal == nonsignaling_oracle(t)[1] == ("alice", 0, 0, (0, 1))
+
 
 class TestLocalPolytope:
     def test_deterministic_boxes_are_vertices(self):
@@ -136,6 +193,12 @@ class TestLocalPolytope:
             # and a CHSH value inside the local bound
             assert abs(chsh_value(b)) <= 2.0 + 1e-7
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 3)])
+    def test_vertex_order(self, shape):
+        verts = local_deterministic_vertices(*shape)
+        assert verts.dtype == float
+        assert np.array_equal(verts, vertices_oracle(*shape))
+
     def test_scenario_guard(self):
         with pytest.raises(ScenarioTooLarge):
             local_deterministic_vertices(10, 10, 6, 6)
@@ -154,3 +217,40 @@ class TestChsh:
     def test_wrong_shape(self):
         with pytest.raises(WrongScenarioShape):
             chsh_value(uniform_box(nx=3))
+
+
+class TestBoxBehavior:
+    @pytest.mark.parametrize("fill", [float("nan"), float("inf")])
+    def test_non_finite_table(self, fill):
+        t = uniform_box().table.copy()
+        t[0, 1, 1, 0] = fill
+        with pytest.raises(NotNormalized):
+            BoxBehavior(t)
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_empty_axis(self, axis):
+        shape = [2, 2, 2, 2]
+        shape[axis] = 0
+        with pytest.raises(EmptyAlphabet):
+            uniform_box(*shape)
+        with pytest.raises(EmptyAlphabet):
+            BoxBehavior(np.zeros(shape))
+
+
+class TestDeterministicBox:
+    def test_table(self):
+        fa, gb = [1, 0, 2], [0, 1]
+        expected = np.zeros((3, 2, 3, 2))
+        for x, y in itertools.product(range(3), range(2)):
+            expected[x, y, fa[x], gb[y]] = 1.0
+        assert np.array_equal(deterministic_box(fa, gb, na=3, nb=2).table, expected)
+
+    @pytest.mark.parametrize("fa, gb", [([0, -1], [0, 0]), ([0, 2], [0, 0]),
+                                        ([0, 0], [1, 2]), ([0, 0.5], [0, 0])])
+    def test_output_out_of_range(self, fa, gb):
+        with pytest.raises(AlphabetMismatch):
+            deterministic_box(fa, gb)
+
+    def test_no_inputs(self):
+        with pytest.raises(EmptyAlphabet):
+            deterministic_box([], [0])

@@ -109,6 +109,16 @@ class TestWitnessCommand:
                    "--grid", " "])
         assert rc == 1
 
+    def test_empty_range_grid(self, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        write_scenario(scen)
+        rc = main(["witness", "--scenario", str(scen), "--out", str(tmp_path),
+                   "--grid", "0:1:0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: EmptyGrid: witness sweep needs a non-empty time grid" in err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_weak_signal_capacity(self, tmp_path, capsys):
         # max TV 0.004: a channel of about 1e-5 bits, which must still be
         # computed, not given up on
