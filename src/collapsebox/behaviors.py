@@ -221,7 +221,13 @@ def uniform_box(nx=2, ny=2, na=2, nb=2) -> BoxBehavior:
 
 
 def deterministic_box(fa, gb, na=2, nb=2) -> BoxBehavior:
-    """Local deterministic box a = fa[x], b = gb[y]."""
+    """Local deterministic box a = fa[x], b = gb[y], one output per input."""
+    try:
+        flat = np.ndim(fa) == np.ndim(gb) == 1
+    except ValueError:  # a ragged nested list
+        flat = False
+    if not flat:
+        raise AlphabetMismatch(f"outputs {fa!r} and {gb!r} are not one per input")
     return BoxBehavior(np.einsum("xa,yb->xyab", _one_hot(fa, na), _one_hot(gb, nb)))
 
 

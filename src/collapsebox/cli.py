@@ -23,7 +23,7 @@ from .collapse import CollapseFamily, make_family, validate_family
 from .errors import CollapseBoxError, EmptyGrid, InvalidSpec
 from .mc import SimConfig, check_level, empirical_rows, gof_test, simulate_twobox, simulate_window
 from .scenarios import Schedule, TimeDensity, bob_marginal, omega, theta, window_marginal
-from .signaling import channel_capacity, induced_channel, witness_sweep
+from .signaling import summarize, witness_sweep
 
 
 @dataclass(frozen=True)
@@ -206,15 +206,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summary(f: CollapseFamily, reports):
-    """The report of largest analytic TV, the channel capacity at its time,
-    and the verdict over all reports."""
-    best = max(reports, key=lambda r: r.tv_analytic)
-    cap = channel_capacity(induced_channel(f, best.elapsed))
-    verdict = "signaling" if any(r.signaling for r in reports) else "non-signaling"
-    return best, cap, verdict
-
-
 def cmd_witness(args: argparse.Namespace) -> int:
     bundle = load_scenario(args.scenario)
     f = bundle.family
@@ -229,7 +220,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
               [(r.elapsed, r.tv_analytic, r.tv_empirical, r.ci_lo, r.ci_hi,
                 r.pvalue, r.verdict) for r in reports])
 
-    best, cap, verdict = _summary(f, reports)
+    best, cap, verdict = summarize(f, reports)
     print(f"max TV {best.tv_analytic:.3e} at s={best.elapsed:.6g}, "
           f"capacity {cap:.12g} bits, verdict: {verdict}")
     print(f"wrote {out}")
@@ -317,7 +308,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     windows = (_sweep_windows(bundle, grid["dt_window"]) if "dt_window" in grid
                else {None: bundle.window})
     cells = [dict(zip(grid, cell)) for cell in itertools.product(*grid.values())]
-    summaries = {}  # (dt, n) -> the _summary of that witness sweep
+    summaries = {}  # (dt, n) -> the summary of that witness sweep
     params = {}  # the cell being computed
 
     def rows():
@@ -326,7 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             dt, n = cell.get("dt"), cell.get("n", args.n)
             f, window = families[dt], windows[cell.get("dt_window")]
             if (dt, n) not in summaries:
-                summaries[dt, n] = _summary(f, witness_sweep(
+                summaries[dt, n] = summarize(f, witness_sweep(
                     f, parse_time_grid(None, f), configs[n], alpha=args.alpha))
             best, cap, verdict = summaries[dt, n]
             th = om = None

@@ -21,14 +21,14 @@ temporaries come from the heap, which reuses them block after block: the
 generator into one buffer. Each draw compares its uniform with one
 cumulative weight column at a time (`CollapseFamily.columns` in the
 window), which equals the draw from whole cumulative rows bit for bit.
-The goodness-of-fit test loads scipy.special at its first call, not at import.
+The goodness-of-fit test loads scipy.special at its first call, and the
+thread pool loads at the first multi-worker run, not at import.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +126,7 @@ def _simulate(p0: Distribution, cfg: SimConfig, columns) -> EmpiricalDist:
     workers = min(cfg.workers, blocks)
     if workers == 1:
         return EmpiricalDist(run(0, cfg.n), cfg.n)
+    from concurrent.futures import ThreadPoolExecutor  # deferred: adds 12 modules to each import
     edges = [min(cfg.n, _BLOCK * (blocks * k // workers)) for k in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return EmpiricalDist(sum(pool.map(run, edges[:-1], edges[1:])), cfg.n)

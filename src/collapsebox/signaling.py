@@ -63,43 +63,49 @@ def induced_channel(f: CollapseFamily, elapsed: float) -> InducedChannel:
 
 def witness(f: CollapseFamily, elapsed: float, cfg: SimConfig | None = None,
             alpha: float = 0.01) -> WitnessReport:
-    """Analytic signaling witness at one elapsed time, with MC corroboration.
-
-    The signaling verdict requires both an analytic TV above
-    _DETECTION_FLOOR and an empirical goodness-of-fit rejection, so neither
-    quadrature residue nor sampling noise alone can trigger a detection.
-    """
-    p_off = bob_marginal(f, 0, elapsed)
-    p_on = bob_marginal(f, 1, elapsed)
-    tv_a = tv_distance(p_off, p_on)
-    if cfg is None:
-        return WitnessReport(elapsed, tv_a, None, None, None, None, tv_a > _DETECTION_FLOOR)
-
-    sched = Schedule(t_a=0.0, t_b=float(elapsed), x=1)
-    emp = simulate_twobox(f, sched, cfg)
-    tv_e = 0.5 * float(np.abs(emp.freqs - p_off.weights).sum())
-    half = 0.5 * float(emp.wilson_halfwidth().sum())  # conservative propagation
-    gof = gof_test(emp, p_off, alpha=alpha)
-    signaling = (tv_a > _DETECTION_FLOOR) and gof.reject
-    return WitnessReport(elapsed, tv_a, tv_e, max(tv_e - half, 0.0),
-                         min(tv_e + half, 1.0), gof.pvalue, signaling)
+    """Analytic signaling witness at one elapsed time, with MC corroboration:
+    the one-point `witness_sweep`, whose point 0 runs at cfg.seed."""
+    return witness_sweep(f, [elapsed], cfg, alpha)[0]
 
 
 def witness_sweep(f: CollapseFamily, grid, cfg: SimConfig | None = None,
                   alpha: float = 0.01):
-    """One WitnessReport per grid point, in grid order."""
-    grid = list(grid)
+    """One WitnessReport per grid point, in grid order, with MC corroboration
+    if `cfg` is given. Bob's x = 1 marginals are P0 @ profile(grid), one call
+    of m k^2 doubles for m points and k outcomes, so a negative or NaN point
+    fails before any Monte Carlo run. A signaling verdict needs an analytic TV
+    above _DETECTION_FLOOR and a goodness-of-fit rejection, so neither
+    quadrature residue nor sampling noise alone can trigger a detection.
+    """
+    grid = [float(t) for t in grid]
     if not grid:
         raise EmptyGrid("witness sweep needs a non-empty time grid")
+    p_off = f.p0  # x = 0: Alice's input triggers nothing
     reports = []
-    for i, t in enumerate(grid):
-        point_cfg = None
-        if cfg is not None:
-            # decorrelate grid points while keeping the sweep reproducible; the
-            # seed wraps, so every valid master seed gives valid point seeds
-            point_cfg = SimConfig(cfg.n, (cfg.seed + i) % 2**128, cfg.workers)
-        reports.append(witness(f, float(t), point_cfg, alpha=alpha))
+    for i, (t, on) in enumerate(zip(grid, p_off.weights @ f.profile(grid))):
+        tv_a = tv_distance(p_off, make_distribution(on, atol=1e-9))
+        if cfg is None:
+            reports.append(WitnessReport(t, tv_a, None, None, None, None, tv_a > _DETECTION_FLOOR))
+            continue
+        # decorrelate grid points while keeping the sweep reproducible; the
+        # seed wraps, so every valid master seed gives valid point seeds
+        point_cfg = SimConfig(cfg.n, (cfg.seed + i) % 2**128, cfg.workers)
+        emp = simulate_twobox(f, Schedule(t_a=0.0, t_b=t, x=1), point_cfg)
+        tv_e = 0.5 * float(np.abs(emp.freqs - p_off.weights).sum())
+        half = 0.5 * float(emp.wilson_halfwidth().sum())  # conservative propagation
+        gof = gof_test(emp, p_off, alpha=alpha)
+        reports.append(WitnessReport(t, tv_a, tv_e, max(tv_e - half, 0.0), min(tv_e + half, 1.0),
+                                     gof.pvalue, tv_a > _DETECTION_FLOOR and gof.reject))
     return reports
+
+
+def summarize(f: CollapseFamily, reports):
+    """The report of largest analytic TV, the channel capacity at its time,
+    and the verdict over all reports."""
+    best = max(reports, key=lambda r: r.tv_analytic)
+    cap = channel_capacity(induced_channel(f, best.elapsed))
+    verdict = "signaling" if any(r.signaling for r in reports) else "non-signaling"
+    return best, cap, verdict
 
 
 def channel_capacity(c: InducedChannel) -> float:

@@ -174,6 +174,20 @@ class TestLocalPolytope:
         assert rep.facet is not None
         assert rep.facet[2] > 0  # strict violation of the separating inequality
 
+    @pytest.mark.parametrize("lam", [0.6, 0.8, 1.0])
+    def test_facet_separates_pr_mixture(self, lam):
+        # lam PR + (1 - lam) uniform has CHSH value 4 lam, nonlocal past lam = 1/2;
+        # its certificate h . v <= c0 holds on every vertex, and h . p - c0 is
+        # the reported violation
+        b = BoxBehavior(lam * pr_box().table + (1 - lam) * uniform_box().table)
+        rep = is_local(b)
+        assert not rep.member
+        h, c0, violation = rep.facet
+        p = b.table.ravel()
+        assert np.all(rep.vertices @ h.ravel() <= c0 + 1e-9)
+        assert h.ravel() @ p - c0 == violation
+        assert violation > 0
+
     def test_uniform_noise_local(self):
         rep = is_local(uniform_box())
         assert rep.member
@@ -220,6 +234,16 @@ class TestChsh:
 
 
 class TestBoxBehavior:
+    def test_three_axes(self):
+        with pytest.raises(WrongScenarioShape, match="got 3"):
+            BoxBehavior(np.full((2, 2, 2), 0.25))
+
+    def test_negative_entry(self):
+        t = uniform_box().table.copy()
+        t[0, 0] = [[0.5, 0.5], [0.5, -0.5]]
+        with pytest.raises(NegativeWeight):
+            BoxBehavior(t)
+
     @pytest.mark.parametrize("fill", [float("nan"), float("inf")])
     def test_non_finite_table(self, fill):
         t = uniform_box().table.copy()
@@ -254,3 +278,9 @@ class TestDeterministicBox:
     def test_no_inputs(self):
         with pytest.raises(EmptyAlphabet):
             deterministic_box([], [0])
+
+    @pytest.mark.parametrize("fa, gb", [([[0]], [0]), ([0, 1], [[0], [1]]), (0, [0]),
+                                        ([[0], 0], [0])])
+    def test_outputs_not_one_per_input(self, fa, gb):
+        with pytest.raises(AlphabetMismatch):
+            deterministic_box(fa, gb)

@@ -184,6 +184,14 @@ class TestSimulateCommand:
         text = capsys.readouterr().out
         assert "gof vs prior" in text and "reject" in text
 
+    def test_nothing_to_simulate(self, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        write_scenario(scen, schedule=None, window=None)
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "neither a schedule nor a window" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_replicas(self, tmp_path):
         scen = tmp_path / "s.json"
         write_scenario(scen)
@@ -242,6 +250,24 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         ti = lines[1].split(",").index("theta")
         assert [l.split(",")[ti] for l in lines[2:]] == ["0.248972195516", "0.942157576857"]
+
+    def test_no_grid(self, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        write_scenario(scen)
+        rc = main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: EmptyGrid: sweep needs a --grid specification" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_windowless_theta_omega_empty(self, tmp_path):
+        scen = tmp_path / "s.json"
+        write_scenario(scen, window=None)
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scen), "--out", str(out),
+                     "--grid", "dt=0.5,1.0", "--n", "200"]) == 0
+        rows = [line.split(",") for line in data_section(out / "sweep.csv").splitlines()]
+        assert rows[0][:3] == ["dt", "theta", "omega"]
+        assert [row[1:3] for row in rows[1:]] == [["", ""], ["", ""]]
 
     def test_dt_beyond_window(self, tmp_path):
         scen = tmp_path / "s.json"
@@ -316,7 +342,7 @@ class TestSweepCommand:
             f = make_family("frozen", p0, dt=dt)
             window = TimeDensity("uniform", cell.get("dt_window", 1.0))
             reports = witness_sweep(f, parse_time_grid(None, f), SimConfig(cell.get("n", 400), 3))
-            best, cap, verdict = cli._summary(f, reports)
+            best, cap, verdict = cli.summarize(f, reports)
             row = values + (theta(window, f.dt_min), omega(window, f.dt_min),
                             best.tv_analytic, best.elapsed, cap, verdict)
             lines.append(",".join(cli._fmt(v) for v in row))
@@ -374,6 +400,17 @@ class TestMalformedInput:
         (["sweep", "--grid", "dt_window=1,10"],
          {"window": {"dt_window": 1.0, "g": {"kind": "truncexp", "rate": 1e6}}},
          "dt_window=10.0: truncexp rate * width 1e+07 exceeds 1e+06"),
+        (["witness", "--grid", "0:1:-1"], {}, "'0:1:-1' has a negative point count"),
+        (["validate"], {"family": {"kind": "table"}}, "needs grid_times and grid_values"),
+        (["validate"], {"family": {"kind": "table", "grid": {
+            "times": [0.5, 1.0], "values": [[[0.3, 0.7], [0.3, 0.7]], [[1, 0], [0, 1]]]}}},
+         "must start at 0"),
+        (["validate"], {"family": {"kind": "table", "grid": {
+            "times": [0.0, 1.0], "values": [[0.3, 0.7], [0.3, 0.7]]}}},
+         "grid_values shape (2, 2) != (2, 2, 2)"),
+        (["simulate"], {"window": {"dt_window": 1.0, "g": {"kind": "table", "times": [0.0, 0.5],
+                                                          "values": [2.0, 2.0]}},
+                        "schedule": None}, "must span [0, width]"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
             "schedule-tB", "schedule-x", "schedule-x-float",
@@ -383,7 +420,9 @@ class TestMalformedInput:
             "grid-range-inf", "sweep-nan", "sweep-seed-negative", "sweep-n-zero",
             "sweep-dt-exponential", "sweep-no-window", "sweep-table-window",
             "sweep-axis-twice", "sweep-window-zero", "sweep-window-negative",
-            "sweep-dt-negative", "sweep-dt-negative-second-cell", "sweep-window-rate-limit"])
+            "sweep-dt-negative", "sweep-dt-negative-second-cell", "sweep-window-rate-limit",
+            "grid-range-negative-count", "table-no-grid", "table-times-not-from-0",
+            "table-values-shape", "density-table-span"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"
         write_scenario(scen, **overrides)
@@ -495,12 +534,13 @@ class TestParsers:
 
 
 def test_import_leaves_out_scipy_stats_and_optimize():
-    # the GOF test needs only scipy.special; linprog is imported by is_local
+    # the GOF test needs only scipy.special; linprog is imported by is_local,
+    # and the thread pool by the first multi-worker run
     code = (
         "import json, sys\n"
         "import collapsebox, collapsebox.cli\n"
         "from collapsebox.behaviors import is_local, uniform_box\n"
-        "heavy = ('scipy.stats', 'scipy.optimize')\n"
+        "heavy = ('scipy.stats', 'scipy.optimize', 'concurrent.futures')\n"
         "before = [m for m in heavy if m in sys.modules]\n"
         "rep = is_local(uniform_box())\n"
         "print(json.dumps([before, rep.member, float(rep.weights.sum()),\n"

@@ -96,6 +96,8 @@ class TestDeterminism:
             SimConfig(0, 1)
         with pytest.raises(InvalidSpec, match="seed"):
             SimConfig(10, -1)
+        with pytest.raises(InvalidSpec, match="worker count"):
+            SimConfig(10, 1, workers=0)
 
 
 class TestBlockAndWorkerInvariance:
@@ -334,6 +336,13 @@ class TestGofTest:
         rep2 = gof_test(EmpiricalDist(np.array([10, 0]), 10), P0, alpha=0.01)
         assert rep2.method == "exact"
         assert rep2.reject
+
+    def test_chi2_rejects_count_in_impossible_cell(self):
+        # 2 (n + 1) cells are too many to enumerate, so the chi-square path
+        # sees the count where p is 0
+        e = EmpiricalDist(np.array([999_999, 1]), 1_000_000)
+        rep = gof_test(e, make_distribution([1.0, 0.0]), alpha=0.01)
+        assert (rep.method, rep.statistic, rep.pvalue, rep.reject) == ("chi2", math.inf, 0.0, True)
 
     def test_exact_matches_binomial(self):
         from scipy.stats import binomtest

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsebox.behaviors import make_distribution
-from collapsebox.collapse import make_family
-from collapsebox.errors import EmptyGrid, InvalidSpec
-from collapsebox.mc import SimConfig
+import collapsebox.signaling as signaling
+from collapsebox.behaviors import make_distribution, tv_distance
+from collapsebox.collapse import CollapseFamily, make_family
+from collapsebox.errors import EmptyGrid, InvalidSpec, TimeBeforeTrigger
+from collapsebox.mc import SimConfig, gof_test, simulate_twobox
+from collapsebox.scenarios import Schedule, bob_marginal
 from collapsebox.signaling import (
     InducedChannel,
     channel_capacity,
@@ -105,6 +107,57 @@ class TestWitnessSweep:
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
             witness_sweep(family(), [])
+
+    def test_tv_equals_per_point_marginals(self):
+        # the whole grid's marginals come from one profile call, equal bit for
+        # bit to Bob's marginal under each choice at each point
+        p0 = make_distribution([0.2, 0.3, 0.5])
+        knots = np.array([0.0, 0.4, 1.0])
+        lin = make_family("linear", p0, dt=(0.4, 1.0, 0.0))
+        families = [lin, make_family("frozen", p0, dt=(0.3, 0.0, 0.9)),
+                    make_family("exponential", p0, rates=(2.0, 7.0, 30.0)),
+                    make_family("table", p0, grid_times=knots, grid_values=lin.profile(knots))]
+        for f in families:
+            grid = np.union1d(np.linspace(0.0, 1.5 * f.dt_max, 13), f.kink_times)
+            tvs = [r.tv_analytic for r in witness_sweep(f, grid)]
+            assert tvs == [tv_distance(bob_marginal(f, 0, t), bob_marginal(f, 1, t))
+                           for t in grid]
+
+    def test_one_profile_call_per_grid(self, monkeypatch):
+        f, calls = family(), []
+        profile = CollapseFamily.profile
+
+        def counting(self, s):
+            calls.append(np.size(s))
+            return profile(self, s)
+
+        monkeypatch.setattr(CollapseFamily, "profile", counting)
+        witness_sweep(f, np.linspace(0, 1, 11))
+        assert calls == [11]
+
+    def test_point_i_simulates_at_seed_plus_i(self):
+        # point 0 runs at cfg.seed, so `witness` at one time is unchanged; the
+        # point seeds wrap past 2**128 - 1 to 0
+        f, grid, seed = family("linear", (0.25, 1.0)), [0.0, 0.2, 0.5, 2.0], 2**128 - 2
+        reports = witness_sweep(f, grid, SimConfig(500, seed), alpha=0.05)
+        for i, (t, rep) in enumerate(zip(grid, reports)):
+            emp = simulate_twobox(f, Schedule(0.0, t, 1), SimConfig(500, (seed + i) % 2**128))
+            assert rep.tv_empirical == 0.5 * float(np.abs(emp.freqs - P0.weights).sum())
+            assert rep.pvalue == gof_test(emp, P0, alpha=0.05).pvalue
+        assert witness(f, grid[1], SimConfig(500, seed + 1), alpha=0.05) == reports[1]
+
+    @pytest.mark.parametrize("bad, error", [(-1.0, TimeBeforeTrigger), (np.nan, InvalidSpec)])
+    def test_bad_point_fails_before_simulation(self, monkeypatch, bad, error):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return simulate_twobox(*args, **kwargs)
+
+        monkeypatch.setattr(signaling, "simulate_twobox", counting)
+        with pytest.raises(error):
+            witness_sweep(family(), [0.5, bad], SimConfig(1000, 1))
+        assert calls == []
 
 
 class TestChannelCapacity:
