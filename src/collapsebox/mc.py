@@ -21,8 +21,10 @@ temporaries come from the heap, which reuses them block after block: the
 generator into one buffer. Each draw compares its uniform with one
 cumulative weight column at a time (`CollapseFamily.columns` in the
 window), which equals the draw from whole cumulative rows bit for bit.
-The goodness-of-fit test loads scipy.special at its first call, and the
-thread pool loads at the first multi-worker run, not at import.
+The chi-square test takes its tail from a closed form over `math`, so
+it loads no scipy; only the exact multinomial test loads scipy.special,
+at its first call. The thread pool loads at the first multi-worker run,
+not at import.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ _EXACT_CELL_LIMIT = 1_000_000
 
 # compositions the exact test scores at once: bounds its arrays to 2^13 x k
 _EXACT_BLOCK = 1 << 13
+
+# ln of the largest double: cephes' igamc, behind scipy's chdtrc, returns a
+# chi-square tail of 0 where its factor y^a e^-y / Gamma(a) is below e^-_MAXLOG
+_MAXLOG = 709.782712893384
 
 # replicas per block: a float column of a block takes 64 KB, under glibc's
 # default 128 KB mmap threshold, so a block's temporaries are reused from the
@@ -230,12 +236,38 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
         if np.any((expected == 0) & (e.counts > 0)):
             return GofReport(math.inf, 0.0, True, "chi2")
         stat = float(terms.sum())
-        from scipy.special import chdtrc  # deferred: adds 0.27 s to each import
-        # scipy.stats.chi2.sf(stat, df); one outcome (df = 0, where scipy
-        # gives NaN) always fits
-        pval = float(chdtrc(p.size - 1, stat)) if p.size > 1 else 1.0
+        # one outcome (df = 0, where scipy.stats.chi2.sf gives NaN) always fits
+        pval = _chi2_sf(p.size - 1, stat) if p.size > 1 else 1.0
         return GofReport(stat, pval, pval < alpha, "chi2")
     return _exact_multinomial(e, p, alpha)
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """Chi-square upper tail P(X >= x) for df >= 1 degrees of freedom.
+
+    With a = df/2 and y = x/2 this is Q(a, y), a finite sum for integer df:
+    e^-y sum_{j<a} y^j/j! for even df, and erfc(sqrt y) plus
+    e^-y sum_{j<a-1/2} y^(j+1/2)/Gamma(j+3/2) for odd df. The terms follow
+    by recurrence while e^-y is a normal double (y <= 700), and from their
+    logs beyond. As in scipy's chdtrc, the tail is 0 where y > a and
+    y^a e^-y / Gamma(a) < e^-_MAXLOG, and at x = inf.
+    """
+    a, y = 0.5 * df, 0.5 * x
+    # the exponent is NaN at y = inf, which also gives 0
+    if y > a and not a * math.log(y) - y - math.lgamma(a) >= -_MAXLOG:
+        return 0.0
+    c = 0.5 * (df % 2)
+    tail = math.erfc(math.sqrt(y)) if c else 0.0
+    if y <= 700.0:
+        term = math.exp(-y) * (2.0 * math.sqrt(y / math.pi) if c else 1.0)
+        for j in range(df // 2):
+            tail += term
+            term *= y / (j + 1 + c)
+    else:
+        log_y = math.log(y)
+        for j in range(df // 2):
+            tail += math.exp((j + c) * log_y - y - math.lgamma(j + 1 + c))
+    return min(tail, 1.0)  # where Q is near 1 the sum can round past it
 
 
 def _exact_multinomial(e: EmpiricalDist, p: Distribution, alpha: float) -> GofReport:
@@ -253,7 +285,7 @@ def _exact_multinomial(e: EmpiricalDist, p: Distribution, alpha: float) -> GofRe
 
 def _multinomial_pmf(x, n, p):
     """Multinomial pmf of the counts on x's last axis, by scipy.stats' formula."""
-    from scipy.special import gammaln, xlogy  # deferred: adds 0.27 s to each import
+    from scipy.special import gammaln, xlogy  # deferred: adds 0.2 s to each import
     return np.exp(gammaln(n + 1) + np.sum(xlogy(x, p) - gammaln(x + 1), axis=-1))
 
 

@@ -8,6 +8,7 @@ is summarized by its Shannon capacity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,8 @@ import numpy as np
 from .behaviors import make_distribution, tv_distance
 from .collapse import CollapseFamily
 from .errors import EmptyGrid, InvalidSpec
-from .mc import SimConfig, gof_test, simulate_twobox
-from .scenarios import Schedule, bob_marginal
+from .mc import SimConfig, gof_test, simulate_single
+from .scenarios import bob_marginal
 
 _HALVINGS = 80  # bisection steps: past float resolution on [0, 1]
 
@@ -73,9 +74,11 @@ def witness_sweep(f: CollapseFamily, grid, cfg: SimConfig | None = None,
     """One WitnessReport per grid point, in grid order, with MC corroboration
     if `cfg` is given. Bob's x = 1 marginals are P0 @ profile(grid), one call
     of m k^2 doubles for m points and k outcomes, so a negative or NaN point
-    fails before any Monte Carlo run. A signaling verdict needs an analytic TV
-    above _DETECTION_FLOOR and a goodness-of-fit rejection, so neither
-    quadrature residue nor sampling noise alone can trigger a detection.
+    fails before any Monte Carlo run. Point i draws Bob's x = 1 outputs at its
+    time with `simulate_single`, so an infinite time, where every row is a
+    delta, is valid too. A signaling verdict needs an analytic TV above
+    _DETECTION_FLOOR and a goodness-of-fit rejection, so neither quadrature
+    residue nor sampling noise alone can trigger a detection.
     """
     grid = [float(t) for t in grid]
     if not grid:
@@ -90,7 +93,7 @@ def witness_sweep(f: CollapseFamily, grid, cfg: SimConfig | None = None,
         # decorrelate grid points while keeping the sweep reproducible; the
         # seed wraps, so every valid master seed gives valid point seeds
         point_cfg = SimConfig(cfg.n, (cfg.seed + i) % 2**128, cfg.workers)
-        emp = simulate_twobox(f, Schedule(t_a=0.0, t_b=t, x=1), point_cfg)
+        emp = simulate_single(f, t, point_cfg)
         tv_e = 0.5 * float(np.abs(emp.freqs - p_off.weights).sum())
         half = 0.5 * float(emp.wilson_halfwidth().sum())  # conservative propagation
         gof = gof_test(emp, p_off, alpha=alpha)
@@ -117,13 +120,22 @@ def channel_capacity(c: InducedChannel) -> float:
     number of halvings of [0, 1] finds the slope's root to float
     resolution, so there is no tolerance to choose and nothing that can
     fail to converge. Equal rows give exactly 0.
+
+    Each x log(x / m) term takes the C library's log through `math.log`, as
+    scipy's xlogy does, and the terms add up output by output.
     """
-    from scipy.special import xlogy  # deferred: adds 0.27 s to each import
-    rows = c.rows[:, c.rows.sum(axis=0) > 0]  # m_r > 0 on these for 0 < r < 1
+    cols = c.rows.T.tolist()  # (p0, p1) of each output
 
     def divergences(r):
-        m = rows[0] + r * (rows[1] - rows[0])
-        return xlogy(rows, rows / m).sum(axis=1)
+        # an output of neither row adds nothing; m > 0 on every other one
+        d0 = d1 = 0.0
+        for a, b in cols:
+            m = a + r * (b - a)
+            if a > 0:
+                d0 += a * math.log(a / m)
+            if b > 0:
+                d1 += b * math.log(b / m)
+        return d0, d1
 
     lo, hi = 0.0, 1.0
     for _ in range(_HALVINGS):

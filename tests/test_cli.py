@@ -533,8 +533,23 @@ class TestParsers:
         assert a == b and len(a) == 12
 
 
+def run_python(code):
+    """The last stdout line of `code` in a fresh interpreter, parsed as JSON."""
+    src = os.path.dirname(os.path.dirname(collapsebox.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+SCIPY_MODULES = (
+    "def scipy_modules():\n"
+    "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+)
+
+
 def test_import_leaves_out_scipy_stats_and_optimize():
-    # the GOF test needs only scipy.special; linprog is imported by is_local,
+    # the exact GOF test needs only scipy.special; linprog is imported by is_local,
     # and the thread pool by the first multi-worker run
     code = (
         "import json, sys\n"
@@ -546,22 +561,19 @@ def test_import_leaves_out_scipy_stats_and_optimize():
         "print(json.dumps([before, rep.member, float(rep.weights.sum()),\n"
         "                  'scipy.optimize' in sys.modules]))\n"
     )
-    src = os.path.dirname(os.path.dirname(collapsebox.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    before, member, weight, loaded = json.loads(out)
+    before, member, weight, loaded = run_python(code)
     assert before == []
     assert member and weight == pytest.approx(1.0, abs=1e-9)
     assert loaded
 
 
-def test_scipy_loads_at_first_gof_test_or_capacity(tmp_path):
-    # import and validate load numpy only; the GOF test on both of its paths
-    # and the capacity load scipy.special and return what an eager import gives
+def test_scipy_loads_at_first_exact_gof_test(tmp_path):
+    # import, validate, the chi-square GOF test and the capacity load no
+    # scipy; the exact GOF test loads scipy.special, and every value is what
+    # an eager import gives
     scen = tmp_path / "s.json"
     write_scenario(scen)
-    values = (
+    setup = (
         "from collapsebox import (Schedule, SimConfig, channel_capacity, gof_test,\n"
         "                         induced_channel, make_distribution, make_family,\n"
         "                         simulate_twobox)\n"
@@ -569,34 +581,55 @@ def test_scipy_loads_at_first_gof_test_or_capacity(tmp_path):
         "f = make_family('linear', make_distribution([0.2, 0.3, 0.5]), dt=(0.25, 0.5, 1.0))\n"
         "sched = Schedule(0.0, 0.4, 1)\n"
         "ref = bob_marginal(f, 1, 0.4)\n"
-        "gofs = [gof_test(simulate_twobox(f, sched, SimConfig(n, 1, 1)), ref)\n"
-        "        for n in (400, 12)]\n"
-        "values = [[g.method, g.pvalue] for g in gofs]\n"
-        "values.append(channel_capacity(induced_channel(f, 0.4)))\n"
+    )
+    chi2 = (
+        "g = gof_test(simulate_twobox(f, sched, SimConfig(400, 1, 1)), ref)\n"
+        "values = [[g.method, g.pvalue], channel_capacity(induced_channel(f, 0.4))]\n"
+    )
+    exact = (
+        "g = gof_test(simulate_twobox(f, sched, SimConfig(12, 1, 1)), ref)\n"
+        "values.append([g.method, g.pvalue])\n"
     )
     lazy = (
-        "import json, sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import json, sys\n" + SCIPY_MODULES +
         "import collapsebox, collapsebox.cli\n"
         "after_import = scipy_modules()\n"
         f"rc = collapsebox.cli.main(['validate', '--scenario', {str(scen)!r}])\n"
         "after_validate = scipy_modules()\n"
-        + values +
-        "print(json.dumps([after_import, rc, after_validate, values,\n"
+        + setup + chi2 +
+        "after_chi2 = scipy_modules()\n"
+        + exact +
+        "print(json.dumps([after_import, rc, after_validate, after_chi2, values,\n"
         "                  'scipy.special' in sys.modules]))\n"
     )
-    eager = "import json, scipy.special\n" + values + "print(json.dumps(values))\n"
-    src = os.path.dirname(os.path.dirname(collapsebox.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    eager = "import json, scipy.special\n" + setup + chi2 + exact + "print(json.dumps(values))\n"
 
-    def run(code):
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        return json.loads(out.splitlines()[-1])
-
-    after_import, rc, after_validate, got, loaded = run(lazy)
+    after_import, rc, after_validate, after_chi2, got, loaded = run_python(lazy)
     assert after_import == [] and rc == 0 and after_validate == []
+    assert after_chi2 == []
     assert loaded
-    assert [g[0] for g in got[:2]] == ["chi2", "exact"]
-    assert got == run(eager)
+    assert [got[0][0], got[2][0]] == ["chi2", "exact"]
+    assert got == run_python(eager)
+
+
+def test_chi2_path_commands_load_no_scipy(tmp_path):
+    # simulate, witness and sweep on a scenario whose every GOF test takes
+    # the chi-square path
+    scen, out = tmp_path / "s.json", tmp_path / "out"
+    write_scenario(scen)
+    common = ["--scenario", str(scen), "--out", str(out), "--n", "2000"]
+    commands = [["simulate", *common], ["witness", *common],
+                ["sweep", *common, "--grid", "dt=0.5,1.0;dt_window=1.0,2.0"]]
+    code = (
+        "import contextlib, io, json, sys\n" + SCIPY_MODULES +
+        "import collapsebox.cli\n"
+        "rcs, stdout = [], io.StringIO()\n"
+        "with contextlib.redirect_stdout(stdout):\n"
+        f"    for argv in {commands!r}:\n"
+        "        rcs.append(collapsebox.cli.main(argv))\n"
+        "print(json.dumps([rcs, stdout.getvalue(), scipy_modules()]))\n"
+    )
+    rcs, stdout, modules = run_python(code)
+    assert rcs == [0, 0, 0]
+    assert "[chi2]" in stdout and "[exact]" not in stdout
+    assert modules == []

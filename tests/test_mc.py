@@ -1,3 +1,4 @@
+import decimal
 import importlib
 import importlib.util
 import itertools
@@ -17,6 +18,7 @@ from collapsebox.errors import AlphabetMismatch, InvalidSpec
 from collapsebox.mc import (
     _BLOCK,
     _EXACT_BLOCK,
+    _chi2_sf,
     _compositions,
     _exact_multinomial,
     EmpiricalDist,
@@ -434,6 +436,8 @@ class TestGofOracle:
         self.check([20, 12, 8, 0], [0.55, 0.25, 0.15, 0.05], False)
 
     def test_chi2_matches_scipy(self):
+        # the closed-form tail and scipy's differ in the last bits; TestChi2Tail
+        # holds it to a 40-digit evaluation
         from scipy import stats
         rng = np.random.default_rng(5)
         for k in range(2, 9):
@@ -441,12 +445,14 @@ class TestGofOracle:
             e = EmpiricalDist(rng.multinomial(5_000, p), 5_000)
             rep = gof_test(e, make_distribution(p))
             assert rep.method == "chi2"
-            assert rep.pvalue == float(stats.chi2.sf(rep.statistic, df=k - 1))
+            assert rep.pvalue == pytest.approx(float(stats.chi2.sf(rep.statistic, df=k - 1)),
+                                               rel=1e-13, abs=0)
         # too many compositions to enumerate: chi-square despite small cells
         e = EmpiricalDist(np.array([30, 20, 6, 3, 1]), 60)  # C(64, 4) terms
         rep = gof_test(e, make_distribution([0.5, 0.3, 0.1, 0.05, 0.05]))
         assert rep.method == "chi2"
-        assert rep.pvalue == float(stats.chi2.sf(rep.statistic, df=4))
+        assert rep.pvalue == pytest.approx(float(stats.chi2.sf(rep.statistic, df=4)),
+                                           rel=1e-13, abs=0)
         # one outcome: a perfect fit on both paths, though a rounding-size
         # statistic leaves scipy's df = 0 p-value undefined
         rep = gof_test(EmpiricalDist(np.array([50]), 50),
@@ -471,6 +477,75 @@ class TestGofOracle:
         e = EmpiricalDist(np.array([17, 5, 2, 0]), 24)
         rep = gof_test(e, make_distribution([0.7, 0.2, 0.07, 0.03]))
         assert rep.method == "exact"
+
+
+def decimal_chi2_sf(df, x):
+    """The even-df chi-square tail e^-y sum_{j<df/2} y^j/j!, y = x/2, to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        y = decimal.Decimal(x) / 2
+        term, total = decimal.Decimal(1), decimal.Decimal(0)
+        for j in range(df // 2):
+            total += term
+            term = term * y / (j + 1)
+        return float(total * (-y).exp())
+
+
+class TestChi2Tail:
+    """The closed-form chi-square tail behind the chi-square GOF path."""
+
+    # statistics at which e^-y is a normal double (y <= 700), so no tail
+    # below is cut to 0
+    XS = [0.0, 1e-300, 1e-9, 0.5, 1.0, 2.0, 3.841458820694124, 9.21, 30.0, 123.4,
+          777.7, 1399.9]
+
+    def test_df1_is_erfc_and_df2_is_exp(self):
+        for x in self.XS:
+            assert _chi2_sf(1, x) == math.erfc(math.sqrt(x / 2))
+            assert _chi2_sf(2, x) == math.exp(-x / 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(df=st.integers(1, 300),
+           xs=st.lists(st.floats(0.0, 3000.0), min_size=2, max_size=2))
+    def test_in_unit_interval_and_nonincreasing(self, df, xs):
+        lo, hi = sorted(xs)
+        q_lo, q_hi = _chi2_sf(df, lo), _chi2_sf(df, hi)
+        assert 0.0 <= q_hi and q_lo <= 1.0
+        # nonincreasing up to rounding: neighbouring statistics can give tails
+        # a few ulps out of order, as scipy's chdtrc does too
+        assert q_hi <= q_lo * (1 + 1e-12)
+
+    def test_even_df_matches_decimal(self):
+        eps = np.finfo(float).eps
+        for df in range(2, 301, 2):
+            for x in [*np.linspace(0.0, 3000.0, 31), *(df * np.array([0.1, 0.9, 1.1, 2.0, 5.0]))]:
+                ref, got = decimal_chi2_sf(df, float(x)), _chi2_sf(df, float(x))
+                if ref < 1e-290:  # subnormal or cut to 0
+                    assert got < 1e-290
+                    continue
+                # beyond y = 700 each term is the exp of a sum near -y, whose
+                # rounding is about y eps
+                rel = 2e-14 if x <= 1400 else 2 * (x / 2) * eps
+                assert got == pytest.approx(ref, rel=rel, abs=0), (df, x)
+
+    def test_matches_scipy_chdtrc(self):
+        from scipy.special import chdtrc
+        for df in range(1, 301):
+            xs = np.concatenate([np.linspace(0.0, 3000.0, 301),
+                                 df * np.array([0.1, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0])])
+            got = np.array([_chi2_sf(df, float(x)) for x in xs])
+            ref = chdtrc(df, xs)
+            # the same tails are 0: where cephes' factor y^a e^-y / Gamma(a)
+            # underflows
+            assert np.array_equal(got == 0, ref == 0), df
+            # up to y = 100: beyond, scipy's own error against 40 digits
+            # passes 1e-13 (up to 2.3e-13 for y in 100-700), while the decimal
+            # test above still holds this tail to 2e-14
+            near = (xs <= 200) & (ref > 1e-290)
+            np.testing.assert_allclose(got[near], ref[near], rtol=1e-13, atol=0)
+
+    def test_infinite_statistic(self):
+        assert _chi2_sf(1, math.inf) == _chi2_sf(4, math.inf) == 0.0
 
 
 def test_benchmark_trace_targets_resolve():

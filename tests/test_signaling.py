@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import collapsebox.signaling as signaling
 from collapsebox.behaviors import make_distribution, tv_distance
 from collapsebox.collapse import CollapseFamily, make_family
 from collapsebox.errors import EmptyGrid, InvalidSpec, TimeBeforeTrigger
-from collapsebox.mc import SimConfig, gof_test, simulate_twobox
+from collapsebox.mc import SimConfig, gof_test, simulate_single, simulate_twobox
 from collapsebox.scenarios import Schedule, bob_marginal
 from collapsebox.signaling import (
     InducedChannel,
@@ -152,12 +154,25 @@ class TestWitnessSweep:
 
         def counting(*args, **kwargs):
             calls.append(None)
-            return simulate_twobox(*args, **kwargs)
+            return simulate_single(*args, **kwargs)
 
-        monkeypatch.setattr(signaling, "simulate_twobox", counting)
+        monkeypatch.setattr(signaling, "simulate_single", counting)
+        witness_sweep(family(), [0.5], SimConfig(1000, 1))
+        assert len(calls) == 1  # the count sees every Monte Carlo point
         with pytest.raises(error):
             witness_sweep(family(), [0.5, bad], SimConfig(1000, 1))
-        assert calls == []
+        assert len(calls) == 1
+
+    def test_infinite_time(self):
+        # Bob reads the latent once collapse is complete: analytic TV 0, and
+        # the point draws what the x = 0 schedule draws
+        f, cfg = family("linear", (0.25, 1.0)), SimConfig(500, 3)
+        finite, inf = witness_sweep(f, [0.5, math.inf], cfg)
+        assert finite == witness(f, 0.5, cfg)
+        assert inf.tv_analytic == 0.0 and not inf.signaling
+        emp = simulate_twobox(f, Schedule(0.0, 0.5, 0), SimConfig(500, 4))
+        assert inf.tv_empirical == 0.5 * float(np.abs(emp.freqs - P0.weights).sum())
+        assert inf.pvalue == gof_test(emp, P0).pvalue
 
 
 class TestChannelCapacity:
@@ -221,6 +236,28 @@ class TestChannelCapacity:
     def test_bad_channel(self):
         with pytest.raises(InvalidSpec):
             InducedChannel([[1.0, 0.0]])
+
+    def test_matches_scipy_xlogy_bisection(self):
+        # the same bisection with scipy's xlogy terms, summed output by output
+        # over the outputs that either row reaches: equal bit for bit
+        from scipy.special import xlogy
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            k = int(rng.integers(2, 41))
+            rows = rng.dirichlet(np.ones(k) * rng.choice([0.1, 1.0, 10.0]), size=2)
+            rows[rng.random((2, k)) < 0.2] = 0.0
+            rows[:, 0] += 0.1
+            rows /= rows.sum(axis=1, keepdims=True)
+            used = rows[:, rows.sum(axis=0) > 0]
+            lo, hi = 0.0, 1.0
+            for _ in range(80):
+                r = 0.5 * (lo + hi)
+                d0 = d1 = 0.0
+                for t0, t1 in xlogy(used, used / (used[0] + r * (used[1] - used[0]))).T:
+                    d0, d1 = d0 + t0, d1 + t1
+                lo, hi = (r, hi) if d1 > d0 else (lo, r)
+            ref = float(np.clip(((1.0 - r) * d0 + r * d1) / np.log(2.0), 0.0, 1.0))
+            assert channel_capacity(InducedChannel(rows)) == ref
 
 
 class TestVerdictCalibration:
