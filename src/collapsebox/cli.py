@@ -303,7 +303,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = parse_sweep_grid(args.grid)
     # every axis value's config, family and window, so a bad --seed or axis
     # value fails before sweep.csv is opened
-    configs = {n: _config(args, n) for n in grid.get("n", [args.n])}
+    _config(args, 1)  # the seed alone first, so a bad --seed has no n= prefix
+    configs = _axis("n", grid.get("n", [args.n]), lambda n: _config(args, n))
     families = _sweep_families(bundle, grid["dt"]) if "dt" in grid else {None: bundle.family}
     windows = (_sweep_windows(bundle, grid["dt_window"]) if "dt_window" in grid
                else {None: bundle.window})

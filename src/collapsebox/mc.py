@@ -1,10 +1,10 @@
 """Seeded Monte Carlo engine for the collapse model.
 
-Randomness is counter-based: replica i consumes exactly one Philox
-counter block (four uniform doubles), keyed by the master seed and
-located by advancing the counter to block i. Results are therefore a
-pure function of (scenario, N, seed), independent of how replicas are
-partitioned across workers.
+Randomness is counter-based: replica j of point p consumes exactly one
+Philox counter block (four uniform doubles), keyed by the master seed and
+located by advancing the counter to block (p << 128) + j. Results are
+therefore a pure function of (scenario, N, seed), independent of how
+replicas are partitioned across workers.
 
 Operational semantics of a triggered collapse: draw the latent outcome
 from the prior, then draw the observed output from the latent outcome's
@@ -15,9 +15,8 @@ draw Alice's and Bob's input times.
 
 Replicas run in blocks of _BLOCK = 2^13. A float column of a block then
 takes 64 KB, under glibc's default 128 KB mmap threshold, so each block's
-temporaries come from the heap, which reuses them block after block: the
-4e6-replica schedule and uniform-window pair of the benchmark takes about
-180 minor page faults. Each worker draws its run of blocks from one
+temporaries come from the heap; how many pages a run faults in depends
+on the heap's history. Each worker draws its run of blocks from one
 generator into one buffer. Each draw compares its uniform with one
 cumulative weight column at a time (`CollapseFamily.columns` in the
 window), which equals the draw from whole cumulative rows bit for bit.
@@ -54,9 +53,8 @@ _EXACT_BLOCK = 1 << 13
 _MAXLOG = 709.782712893384
 
 # replicas per block: a float column of a block takes 64 KB, under glibc's
-# default 128 KB mmap threshold, so a block's temporaries are reused from the
-# heap instead of being mapped and faulted in anew (about 180 minor faults
-# per 4e6-replica schedule and window pair)
+# default 128 KB mmap threshold, so a block's temporaries come from the heap
+# instead of being mapped anew for each block
 _BLOCK = 1 << 13
 
 
@@ -113,19 +111,19 @@ def replica_uniforms(seed: int, lo: int, hi: int):
             for start in range(lo, hi, _BLOCK))
 
 
-def _simulate(p0: Distribution, cfg: SimConfig, columns) -> EmpiricalDist:
+def _simulate(p0: Distribution, cfg: SimConfig, columns, point: int = 0) -> EmpiricalDist:
     """The sampling kernel behind every simulator.
 
-    Each worker takes one contiguous run of replicas and draws it block by
-    block from one stream of uniforms.
+    Each worker takes one contiguous run of `point`'s replicas and draws it
+    block by block from one stream of uniforms.
     """
-    n = p0.size
     cum_p0 = np.cumsum(p0.weights)
+    first = point << 128
 
     def run(lo, hi):
-        counts = np.zeros(n, dtype=np.int64)
-        for u in replica_uniforms(cfg.seed, lo, hi):
-            counts += np.bincount(_draw(u, cum_p0, columns), minlength=n)
+        counts = np.zeros(p0.size, dtype=np.int64)
+        for u in replica_uniforms(cfg.seed, first + lo, first + hi):
+            counts += np.bincount(_draw(u, cum_p0, columns), minlength=p0.size)
         return counts
 
     blocks = -(-cfg.n // _BLOCK)
@@ -160,13 +158,15 @@ def _count(x: np.ndarray, columns, n: int) -> np.ndarray:
     return np.minimum(k, n - 1)
 
 
-def simulate_single(f: CollapseFamily, probe_elapsed: float,
-                    cfg: SimConfig) -> EmpiricalDist:
-    """Single box: trigger at 0, probe at `probe_elapsed`."""
-    # one elapsed time, so one k x k cumulative table taken at each latent:
-    # drawing from `f.columns` instead slows a 4e6-replica run by a third
-    cum = np.cumsum(f.profile(float(probe_elapsed)), axis=1).T
-    return _simulate(f.p0, cfg, lambda latent, u: (c.take(latent) for c in cum))
+def simulate_single(f: CollapseFamily, probe_elapsed, cfg: SimConfig):
+    """Single box: trigger at 0, probe at `probe_elapsed`. For a 1-D array of
+    m times, a list of m EmpiricalDists, time i drawn at point i."""
+    # one elapsed time per point, so one k x k cumulative table taken at each
+    # latent: drawing from `f.columns` instead slows a 4e6-replica run by a third
+    cums = np.cumsum(f.profile(probe_elapsed), axis=-1)
+    runs = [_simulate(f.p0, cfg, lambda latent, u, cum=cum.T: (c.take(latent) for c in cum), i)
+            for i, cum in enumerate(cums.reshape(-1, f.size, f.size))]
+    return runs[0] if cums.ndim == 2 else runs
 
 
 def simulate_twobox(f: CollapseFamily, sched: Schedule,

@@ -74,26 +74,25 @@ def witness_sweep(f: CollapseFamily, grid, cfg: SimConfig | None = None,
     """One WitnessReport per grid point, in grid order, with MC corroboration
     if `cfg` is given. Bob's x = 1 marginals are P0 @ profile(grid), one call
     of m k^2 doubles for m points and k outcomes, so a negative or NaN point
-    fails before any Monte Carlo run. Point i draws Bob's x = 1 outputs at its
-    time with `simulate_single`, so an infinite time, where every row is a
-    delta, is valid too. A signaling verdict needs an analytic TV above
-    _DETECTION_FLOOR and a goodness-of-fit rejection, so neither quadrature
-    residue nor sampling noise alone can trigger a detection.
+    fails before any Monte Carlo run. One `simulate_single` call draws Bob's
+    x = 1 outputs, point i from Philox counters (i << 128) + [0, n) of
+    cfg.seed; an infinite time, where every row is a delta, is valid too. A
+    signaling verdict needs an analytic TV above _DETECTION_FLOOR and a
+    goodness-of-fit rejection, so neither quadrature residue nor sampling
+    noise alone can trigger a detection.
     """
     grid = [float(t) for t in grid]
     if not grid:
         raise EmptyGrid("witness sweep needs a non-empty time grid")
     p_off = f.p0  # x = 0: Alice's input triggers nothing
+    ons = p_off.weights @ f.profile(grid)
+    emps = [None] * len(grid) if cfg is None else simulate_single(f, grid, cfg)
     reports = []
-    for i, (t, on) in enumerate(zip(grid, p_off.weights @ f.profile(grid))):
+    for t, on, emp in zip(grid, ons, emps):
         tv_a = tv_distance(p_off, make_distribution(on, atol=1e-9))
-        if cfg is None:
+        if emp is None:
             reports.append(WitnessReport(t, tv_a, None, None, None, None, tv_a > _DETECTION_FLOOR))
             continue
-        # decorrelate grid points while keeping the sweep reproducible; the
-        # seed wraps, so every valid master seed gives valid point seeds
-        point_cfg = SimConfig(cfg.n, (cfg.seed + i) % 2**128, cfg.workers)
-        emp = simulate_single(f, t, point_cfg)
         tv_e = 0.5 * float(np.abs(emp.freqs - p_off.weights).sum())
         half = 0.5 * float(emp.wilson_halfwidth().sum())  # conservative propagation
         gof = gof_test(emp, p_off, alpha=alpha)

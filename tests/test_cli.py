@@ -385,7 +385,8 @@ class TestMalformedInput:
         (["witness", "--grid", "0:-inf:3"], {}, "'-inf'"),
         (["sweep", "--grid", "dt=nan"], {}, "'nan'"),
         (["sweep", "--seed", "-1", "--grid", "dt=0.5"], {}, "-1"),
-        (["sweep", "--grid", "dt=0.5;n=0"], {}, "replica count"),
+        (["sweep", "--grid", "dt=0.5;n=0"], {}, "n=0: replica count"),
+        (["sweep", "--seed", "-1", "--grid", "n=100"], {}, "InvalidSpec: seed must lie"),
         (["sweep", "--grid", "dt=0.5"], {"family": {"kind": "exponential", "rates": [2.0, 3.0]}},
          "'exponential'"),
         (["sweep", "--grid", "dt_window=1.0"], {"window": None}, "needs a window"),
@@ -418,6 +419,7 @@ class TestMalformedInput:
             "grid-list-not-object", "grid-times-string", "density-rate", "density-times",
             "seed-negative", "seed-2**128", "rate-tiny", "grid-nan", "grid-inf",
             "grid-range-inf", "sweep-nan", "sweep-seed-negative", "sweep-n-zero",
+            "sweep-seed-with-n-axis",
             "sweep-dt-exponential", "sweep-no-window", "sweep-table-window",
             "sweep-axis-twice", "sweep-window-zero", "sweep-window-negative",
             "sweep-dt-negative", "sweep-dt-negative-second-cell", "sweep-window-rate-limit",
@@ -471,7 +473,8 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("command", ["witness", "sweep"])
     def test_largest_seed(self, tmp_path, command):
-        # grid point i draws from seed + i, which wraps past 2**128 - 1 to 0
+        # every grid point draws from the master seed's own stream, so the
+        # largest seed runs, and its point 1 is not point 0 of seed 0
         scen = tmp_path / "s.json"
         write_scenario(scen)
         grid = "0,0.5" if command == "witness" else "dt=0.5"
@@ -482,7 +485,8 @@ class TestReproducibility:
                          "--n", "500", "--seed", "0", "--grid", "0.5"]) == 0
             top = data_section(tmp_path / "top" / "witness.csv").splitlines()
             zero = data_section(tmp_path / "zero" / "witness.csv").splitlines()
-            assert top[2] == zero[1]
+            assert top[2].split(",")[:2] == zero[1].split(",")[:2] == ["0.5", "0.21"]
+            assert top[2] != zero[1]
 
 
 class TestParsers:

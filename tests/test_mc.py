@@ -224,6 +224,45 @@ class TestDrawOracle:
                            lambda u: np.full(len(u), s), 9)
 
 
+class TestGridPoints:
+    """simulate_single at a 1-D array of times: time i is point i, replicas
+    (i << 128) + [0, n) of the seed's Philox stream."""
+
+    GRID = [0.0, 0.2, 0.45, math.inf]
+
+    def test_layout_oracle(self):
+        # each point's counts are a by-hand draw from its counter range
+        n, seed = _BLOCK + 77, 2**128 - 1
+        for f in rows_families():
+            got = simulate_single(f, self.GRID, SimConfig(n, seed))
+            assert len(got) == len(self.GRID)
+            for i, (t, e) in enumerate(zip(self.GRID, got)):
+                u = np.vstack([b.copy() for b in replica_uniforms(seed, i << 128, (i << 128) + n)])
+                latent = np.minimum(np.searchsorted(np.cumsum(f.p0.weights), u[:, 0],
+                                                    side="right"), f.size - 1)
+                cum = np.cumsum(f.profile(t), axis=1)[latent]
+                out = np.minimum((u[:, 1, None] >= cum).sum(1), f.size - 1)
+                assert e.counts.tolist() == np.bincount(out, minlength=f.size).tolist(), f.kind
+
+    def test_workers(self):
+        n = 2 * _BLOCK + 5
+        for f in rows_families():
+            ref = simulate_single(f, self.GRID, SimConfig(n, 17))
+            alt = simulate_single(f, self.GRID, SimConfig(n, 17, workers=2))
+            assert [e.counts.tolist() for e in ref] == [e.counts.tolist() for e in alt]
+
+    def test_point_depends_on_its_own_time_and_index(self):
+        # point i is a function of (t_i, i, seed, n): other grid times, and
+        # how many there are, leave it as it is, but its index does not; point
+        # 0 is the one-time run
+        f, cfg = rows_families()[1], SimConfig(3000, 5)
+        a = simulate_single(f, [0.1, 0.45, 0.2], cfg)
+        b = simulate_single(f, np.array([0.9, 0.45]), cfg)
+        assert a[1].counts.tolist() == b[1].counts.tolist()
+        assert a[0].counts.tolist() != simulate_single(f, [0.45, 0.1], cfg)[1].counts.tolist()
+        assert a[0].counts.tolist() == simulate_single(f, 0.1, cfg).counts.tolist()
+
+
 class TestSimulateSingle:
     def test_zero_weight_outcome_never_drawn(self, monkeypatch):
         # u = 0 equals outcome 0's cumulative weight; the draw takes the

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import collapsebox.signaling as signaling
+import collapsebox.mc as mc
 from collapsebox.behaviors import make_distribution, tv_distance
 from collapsebox.collapse import CollapseFamily, make_family
 from collapsebox.errors import EmptyGrid, InvalidSpec, TimeBeforeTrigger
@@ -136,41 +136,54 @@ class TestWitnessSweep:
         monkeypatch.setattr(CollapseFamily, "profile", counting)
         witness_sweep(f, np.linspace(0, 1, 11))
         assert calls == [11]
+        # with Monte Carlo, one more: simulate_single's, for the whole grid
+        calls.clear()
+        witness_sweep(f, np.linspace(0, 1, 11), SimConfig(200, 1))
+        assert calls == [11, 11]
 
-    def test_point_i_simulates_at_seed_plus_i(self):
-        # point 0 runs at cfg.seed, so `witness` at one time is unchanged; the
-        # point seeds wrap past 2**128 - 1 to 0
-        f, grid, seed = family("linear", (0.25, 1.0)), [0.0, 0.2, 0.5, 2.0], 2**128 - 2
+    def test_point_i_is_simulate_single_point_i(self):
+        # one simulate_single call draws every point; point 0 is what `witness`
+        # draws at one time, at the largest seed too
+        f, grid, seed = family("linear", (0.25, 1.0)), [0.0, 0.2, 0.5, 2.0], 2**128 - 1
         reports = witness_sweep(f, grid, SimConfig(500, seed), alpha=0.05)
-        for i, (t, rep) in enumerate(zip(grid, reports)):
-            emp = simulate_twobox(f, Schedule(0.0, t, 1), SimConfig(500, (seed + i) % 2**128))
+        for rep, emp in zip(reports, simulate_single(f, grid, SimConfig(500, seed))):
             assert rep.tv_empirical == 0.5 * float(np.abs(emp.freqs - P0.weights).sum())
             assert rep.pvalue == gof_test(emp, P0, alpha=0.05).pvalue
-        assert witness(f, grid[1], SimConfig(500, seed + 1), alpha=0.05) == reports[1]
+        assert witness(f, grid[0], SimConfig(500, seed), alpha=0.05) == reports[0]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**128 - 2])
+    def test_consecutive_seeds_share_no_point(self, seed):
+        # point 1 at seed s and point 0 at seed s + 1 draw different uniforms
+        f, cfg = family("linear", (0.25, 1.0)), SimConfig(2000, seed)
+        shifted = witness_sweep(f, [0.0, 0.5], cfg)[1]
+        nxt = witness(f, 0.5, SimConfig(2000, seed + 1))
+        assert shifted.tv_analytic == nxt.tv_analytic
+        assert (shifted.tv_empirical, shifted.pvalue) != (nxt.tv_empirical, nxt.pvalue)
 
     @pytest.mark.parametrize("bad, error", [(-1.0, TimeBeforeTrigger), (np.nan, InvalidSpec)])
     def test_bad_point_fails_before_simulation(self, monkeypatch, bad, error):
-        calls = []
+        runs = []
+        kernel = mc._simulate
 
         def counting(*args, **kwargs):
-            calls.append(None)
-            return simulate_single(*args, **kwargs)
+            runs.append(None)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(signaling, "simulate_single", counting)
-        witness_sweep(family(), [0.5], SimConfig(1000, 1))
-        assert len(calls) == 1  # the count sees every Monte Carlo point
+        monkeypatch.setattr(mc, "_simulate", counting)
+        witness_sweep(family(), [0.5, 0.7], SimConfig(1000, 1))
+        assert len(runs) == 2  # the count sees every Monte Carlo point
         with pytest.raises(error):
             witness_sweep(family(), [0.5, bad], SimConfig(1000, 1))
-        assert len(calls) == 1
+        assert len(runs) == 2
 
     def test_infinite_time(self):
         # Bob reads the latent once collapse is complete: analytic TV 0, and
-        # the point draws what the x = 0 schedule draws
+        # point 0 draws what the x = 0 schedule draws
         f, cfg = family("linear", (0.25, 1.0)), SimConfig(500, 3)
-        finite, inf = witness_sweep(f, [0.5, math.inf], cfg)
-        assert finite == witness(f, 0.5, cfg)
+        inf, finite = witness_sweep(f, [math.inf, 0.5], cfg)
+        assert finite.tv_analytic == witness(f, 0.5).tv_analytic
         assert inf.tv_analytic == 0.0 and not inf.signaling
-        emp = simulate_twobox(f, Schedule(0.0, 0.5, 0), SimConfig(500, 4))
+        emp = simulate_twobox(f, Schedule(0.0, 0.5, 0), cfg)
         assert inf.tv_empirical == 0.5 * float(np.abs(emp.freqs - P0.weights).sum())
         assert inf.pvalue == gof_test(emp, P0).pvalue
 
