@@ -19,11 +19,12 @@ temporaries come from the heap; how many pages a run faults in depends
 on the heap's history. Each worker draws its run of blocks from one
 generator into one buffer. Each draw compares its uniform with one
 cumulative weight column at a time (`CollapseFamily.columns` in the
-window), which equals the draw from whole cumulative rows bit for bit.
-The chi-square test takes its tail from a closed form over `math`, so
-it loads no scipy; only the exact multinomial test loads scipy.special,
-at its first call. The thread pool loads at the first multi-worker run,
-not at import.
+window), all but the last, which equals the draw from whole cumulative
+rows bit for bit.
+The goodness-of-fit test loads no scipy: the chi-square test takes its
+tail from a closed form over `math`, and the exact multinomial test its
+log-factorials from a table equal to scipy.special.gammaln bit for bit.
+The thread pool loads at the first multi-worker run, not at import.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ _EXACT_BLOCK = 1 << 13
 # ln of the largest double: cephes' igamc, behind scipy's chdtrc, returns a
 # chi-square tail of 0 where its factor y^a e^-y / Gamma(a) is below e^-_MAXLOG
 _MAXLOG = 709.782712893384
+
+# cephes lgam, which scipy.special.gammaln runs: ln sqrt(2 pi) and the
+# coefficients of Stirling's series in 1/x^2, below x = 1000 and from it on
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_STIRLING_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                   0.0833333333333333333333)
 
 # replicas per block: a float column of a block takes 64 KB, under glibc's
 # default 128 KB mmap threshold, so a block's temporaries come from the heap
@@ -140,10 +150,12 @@ def _draw(u: np.ndarray, cum_p0: np.ndarray, columns) -> np.ndarray:
     """The output of each replica of a block of uniforms.
 
     Uniform 0 draws the latent from p0 and uniform 1 the output. Each draw
-    counts the cumulative weights at or below the uniform, capped at the
-    last index: for nondecreasing weights, the first index whose weight
-    exceeds it. `columns(latent, u)` yields the replicas' cumulative output
-    weights one column at a time.
+    counts the first n - 1 cumulative weights at or below the uniform: the
+    first index whose weight exceeds it, or n - 1. This needs the columns
+    to be nondecreasing, as the cumulative sums of every mixture kind and
+    of a table with nonnegative values are; the last column then never
+    changes a draw, and is never computed. `columns(latent, u)` yields the
+    replicas' cumulative output weights one column at a time.
     """
     n = cum_p0.size
     latent = _count(np.ascontiguousarray(u[:, 0]), cum_p0, n)
@@ -151,11 +163,11 @@ def _draw(u: np.ndarray, cum_p0: np.ndarray, columns) -> np.ndarray:
 
 
 def _count(x: np.ndarray, columns, n: int) -> np.ndarray:
-    """How many of the columns each element of x is at or above, capped at n - 1."""
+    """How many of the first n - 1 columns each element of x is at or above."""
     k = np.zeros(x.size, dtype=np.min_scalar_type(n))
-    for column in columns:
+    for column in itertools.islice(columns, n - 1):
         k += x >= column
-    return np.minimum(k, n - 1)
+    return k
 
 
 def simulate_single(f: CollapseFamily, probe_elapsed, cfg: SimConfig):
@@ -220,12 +232,16 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
     exact multinomial test (sum of outcome probabilities no larger than
     the observed one), falling back to chi-square if enumeration would be
     too large. A one-outcome fit is perfect: p = 1 on either path.
-    The level must satisfy 0 < alpha < 1.
+    The level must satisfy 0 < alpha < 1, and the counts must be integers,
+    of any dtype, in [0, e.n].
     """
     check_level(alpha)
     if e.counts.size != p.size:
         raise AlphabetMismatch(
             f"alphabet sizes differ: {e.counts.size} vs {p.size}")
+    c = e.counts
+    if not np.all((c >= 0) & (c <= e.n) & (c == np.floor(c))):
+        raise InvalidSpec(f"counts must be integers in [0, {e.n}]")
     expected = e.n * p.weights
     if (np.all(expected >= 5)
             or p.size * math.comb(e.n + p.size - 1, p.size - 1) > _EXACT_CELL_LIMIT):
@@ -272,30 +288,65 @@ def _chi2_sf(df: int, x: float) -> float:
 
 def _exact_multinomial(e: EmpiricalDist, p: Distribution, alpha: float) -> GofReport:
     n, k = e.n, p.size
-    obs_p = float(_multinomial_pmf(e.counts, n, p.weights))
+    if k == 1:  # one outcome always fits
+        return GofReport(None, 1.0, False, "exact")
+    log_fact = _log_factorials(n)
+    log_p = np.array([math.log(w) if w > 0 else -math.inf for w in p.weights])
+    obs_p = float(_multinomial_pmf(e.counts.astype(np.int64), log_fact, log_p))
     pval = 0.0
     for c in _compositions(n, k):
-        q = _multinomial_pmf(c, n, p.weights)
+        q = _multinomial_pmf(c, log_fact, log_p)
         # summed one term at a time in composition order, so that the
         # p-value does not depend on the block size
         pval = float(np.cumsum(np.append(pval, q[q <= obs_p + 1e-15]))[-1])
-    pval = min(pval, 1.0) if k > 1 else 1.0
+    pval = min(pval, 1.0)
     return GofReport(None, pval, pval < alpha, "exact")
 
 
-def _multinomial_pmf(x, n, p):
-    """Multinomial pmf of the counts on x's last axis, by scipy.stats' formula."""
-    from scipy.special import gammaln, xlogy  # deferred: adds 0.2 s to each import
-    return np.exp(gammaln(n + 1) + np.sum(xlogy(x, p) - gammaln(x + 1), axis=-1))
+def _multinomial_pmf(x, log_fact, log_p):
+    """Multinomial pmf of the integer counts on x's last axis, by scipy.stats'
+    formula: `log_fact` is `_log_factorials(n)` and `log_p` the weights' logs."""
+    with np.errstate(invalid="ignore"):  # 0 * -inf where a weight is 0
+        x_log_p = np.where(x > 0, x * log_p, 0.0)
+    n = log_fact.size - 1
+    return np.exp(log_fact[n] + np.sum(x_log_p - log_fact[x], axis=-1))
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n, equal to scipy.special.gammaln(k + 1) bit for bit.
+
+    Ports cephes lgam at x = k + 1, in its order of operations. Below 13 it
+    takes the log of the exact product, k!; from 13 on, Stirling's series
+    (x - 0.5) ln x - x + ln sqrt(2 pi) + polevl(1/x^2)/x. ln x is the C log
+    that cephes calls, `math.log`: np.log can differ from it in the last bit.
+    Past x = 1e8, far beyond any n the exact test enumerates, cephes would
+    drop the series.
+    """
+    small = [math.log(math.factorial(k)) for k in range(min(n, 11) + 1)]
+    x = np.arange(13.0, n + 2.0)
+    log_x = np.fromiter(map(math.log, range(13, n + 2)), float, x.size)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    q += np.where(x < 1000.0, _polevl(p, _STIRLING), _polevl(p, _STIRLING_LARGE)) / x
+    return np.concatenate([small, q])
+
+
+def _polevl(x, coefs):
+    """cephes polevl: the polynomial with these coefficients, highest power
+    first, at x by Horner's rule."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
 
 
 def _compositions(n, k):
-    """Compositions of n into k parts in lexicographic order, _EXACT_BLOCK
+    """Compositions of n into k >= 2 parts in lexicographic order, _EXACT_BLOCK
     rows at a time, from their nondecreasing partial sums."""
-    sums = itertools.combinations_with_replacement(range(n + 1), k - 1)
-    while rows := list(itertools.islice(sums, _EXACT_BLOCK)):
-        s = np.array(rows, dtype=np.int64).reshape(len(rows), k - 1)
-        yield np.diff(s, axis=1, prepend=0, append=n)
+    sums = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(n + 1), k - 1))
+    while (s := np.fromiter(itertools.islice(sums, _EXACT_BLOCK * (k - 1)), np.int64)).size:
+        yield np.diff(s.reshape(-1, k - 1), axis=1, prepend=0, append=n)
 
 
 def empirical_rows(e: EmpiricalDist):

@@ -553,8 +553,8 @@ SCIPY_MODULES = (
 
 
 def test_import_leaves_out_scipy_stats_and_optimize():
-    # the exact GOF test needs only scipy.special; linprog is imported by is_local,
-    # and the thread pool by the first multi-worker run
+    # neither GOF path nor the capacity needs scipy; linprog is imported by
+    # is_local, and the thread pool by the first multi-worker run
     code = (
         "import json, sys\n"
         "import collapsebox, collapsebox.cli\n"
@@ -571,10 +571,9 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     assert loaded
 
 
-def test_scipy_loads_at_first_exact_gof_test(tmp_path):
-    # import, validate, the chi-square GOF test and the capacity load no
-    # scipy; the exact GOF test loads scipy.special, and every value is what
-    # an eager import gives
+def test_exact_gof_loads_no_scipy(tmp_path):
+    # import, validate, both GOF paths and the capacity load no scipy, and
+    # every value is what an eager import of scipy.special gives
     scen = tmp_path / "s.json"
     write_scenario(scen)
     setup = (
@@ -604,36 +603,42 @@ def test_scipy_loads_at_first_exact_gof_test(tmp_path):
         "after_chi2 = scipy_modules()\n"
         + exact +
         "print(json.dumps([after_import, rc, after_validate, after_chi2, values,\n"
-        "                  'scipy.special' in sys.modules]))\n"
+        "                  scipy_modules()]))\n"
     )
     eager = "import json, scipy.special\n" + setup + chi2 + exact + "print(json.dumps(values))\n"
 
-    after_import, rc, after_validate, after_chi2, got, loaded = run_python(lazy)
+    after_import, rc, after_validate, after_chi2, got, after_exact = run_python(lazy)
     assert after_import == [] and rc == 0 and after_validate == []
-    assert after_chi2 == []
-    assert loaded
+    assert after_chi2 == [] and after_exact == []
     assert [got[0][0], got[2][0]] == ["chi2", "exact"]
     assert got == run_python(eager)
 
 
 def test_chi2_path_commands_load_no_scipy(tmp_path):
     # simulate, witness and sweep on a scenario whose every GOF test takes
-    # the chi-square path
-    scen, out = tmp_path / "s.json", tmp_path / "out"
+    # the chi-square path, then simulate on the exact path: a skewed prior at
+    # 24 replicas has expected counts below 5
+    scen, skewed, out = tmp_path / "s.json", tmp_path / "skewed.json", tmp_path / "out"
     write_scenario(scen)
+    write_scenario(skewed, p0=[0.7, 0.2, 0.07, 0.03], window=None,
+                   family={"kind": "linear", "dt": [0.2, 0.4, 0.6, 0.8]})
     common = ["--scenario", str(scen), "--out", str(out), "--n", "2000"]
     commands = [["simulate", *common], ["witness", *common],
-                ["sweep", *common, "--grid", "dt=0.5,1.0;dt_window=1.0,2.0"]]
+                ["sweep", *common, "--grid", "dt=0.5,1.0;dt_window=1.0,2.0"],
+                ["simulate", "--scenario", str(skewed), "--out", str(out), "--n", "24"]]
     code = (
         "import contextlib, io, json, sys\n" + SCIPY_MODULES +
         "import collapsebox.cli\n"
-        "rcs, stdout = [], io.StringIO()\n"
-        "with contextlib.redirect_stdout(stdout):\n"
-        f"    for argv in {commands!r}:\n"
+        "rcs, stdouts = [], []\n"
+        f"for argv in {commands!r}:\n"
+        "    stdouts.append(io.StringIO())\n"
+        "    with contextlib.redirect_stdout(stdouts[-1]):\n"
         "        rcs.append(collapsebox.cli.main(argv))\n"
-        "print(json.dumps([rcs, stdout.getvalue(), scipy_modules()]))\n"
+        "print(json.dumps([rcs, [s.getvalue() for s in stdouts], scipy_modules()]))\n"
     )
-    rcs, stdout, modules = run_python(code)
-    assert rcs == [0, 0, 0]
-    assert "[chi2]" in stdout and "[exact]" not in stdout
+    rcs, stdouts, modules = run_python(code)
+    assert rcs == [0, 0, 0, 0]
+    chi2 = "".join(stdouts[:3])
+    assert "[chi2]" in chi2 and "[exact]" not in chi2
+    assert "[exact]" in stdouts[3]
     assert modules == []

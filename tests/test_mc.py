@@ -21,6 +21,7 @@ from collapsebox.mc import (
     _chi2_sf,
     _compositions,
     _exact_multinomial,
+    _log_factorials,
     EmpiricalDist,
     SimConfig,
     gof_test,
@@ -223,6 +224,16 @@ class TestDrawOracle:
                 self.check(f, lambda cfg: simulate_single(f, s, cfg),
                            lambda u: np.full(len(u), s), 9)
 
+    def test_last_column_never_read(self):
+        # for nondecreasing columns the last one cannot change a draw
+        def columns():
+            yield np.full(4, 0.25)
+            yield np.full(4, 0.5)
+            raise AssertionError("the last column was read")
+
+        x = np.array([0.1, 0.3, 0.6, 0.9])
+        assert mc._count(x, columns(), 3).tolist() == [0, 1, 2, 2]
+
 
 class TestGridPoints:
     """simulate_single at a 1-D array of times: time i is point i, replicas
@@ -402,6 +413,21 @@ class TestGofTest:
             gof_test(EmpiricalDist(np.array([5, 5]), 10),
                      make_distribution([0.2, 0.3, 0.5]))
 
+    def test_integer_valued_float_counts(self):
+        p = make_distribution([0.7, 0.2, 0.07, 0.03])
+        counts = np.array([17, 5, 2, 0])
+        rep = gof_test(EmpiricalDist(counts, 24), p)
+        assert rep.method == "exact"
+        assert gof_test(EmpiricalDist(counts.astype(float), 24), p) == rep
+
+    @pytest.mark.parametrize("counts", [[17.5, 4.5, 2, 0], [math.nan, 5, 2, 17],
+                                        [math.inf, 0, 0, 0], [-1, 5, 2, 18], [25, 0, 0, 0]])
+    def test_counts_not_integers_in_range(self, counts):
+        # on the exact path these would index past the log-factorial table
+        with pytest.raises(InvalidSpec, match=r"counts must be integers in \[0, 24\]"):
+            gof_test(EmpiricalDist(np.array(counts), 24),
+                     make_distribution([0.7, 0.2, 0.07, 0.03]))
+
 
 def lex_compositions(n, k):
     """Compositions of n into k parts in lexicographic order, one at a time."""
@@ -516,6 +542,32 @@ class TestGofOracle:
         e = EmpiricalDist(np.array([17, 5, 2, 0]), 24)
         rep = gof_test(e, make_distribution([0.7, 0.2, 0.07, 0.03]))
         assert rep.method == "exact"
+
+
+class TestLogFactorials:
+    """The exact test's log-factorial table is scipy's gammaln bit for bit."""
+
+    def test_equals_gammaln(self):
+        from scipy.special import gammaln
+        n = 600_000
+        assert np.array_equal(_log_factorials(n), gammaln(np.arange(n + 1) + 1.0))
+
+    def test_branch_edges(self):
+        # the table ends at either side of cephes' two branch points: the
+        # exact product below x = k + 1 = 13, and the short series from 1000
+        from scipy.special import gammaln
+        for n in [*range(10, 15), *range(998, 1002)]:
+            table = _log_factorials(n)
+            assert table.shape == (n + 1,)
+            assert np.array_equal(table, gammaln(np.arange(n + 1) + 1.0)), n
+
+    def test_matches_decimal(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            table = _log_factorials(1001)
+            for k in [*range(0, 15), 100, 998, 999, 1000, 1001]:
+                ref = float(decimal.Decimal(math.factorial(k)).ln())
+                assert table[k] == pytest.approx(ref, rel=2e-16, abs=0), k
 
 
 def decimal_chi2_sf(df, x):
