@@ -1,10 +1,15 @@
 """Seeded Monte Carlo engine for the collapse model.
 
-Randomness is counter-based: replica j of point p consumes exactly one
-Philox counter block (four uniform doubles), keyed by the master seed and
-located by advancing the counter to block (p << 128) + j. Results are
-therefore a pure function of (scenario, N, seed), independent of how
-replicas are partitioned across workers.
+Each grid point p draws from its own PCG64DXSM stream, seeded by
+SeedSequence(seed, spawn_key=(p,)). Replica j of point p takes uniforms
+[w*j, w*j + w) of that stream, reached with `advance(w*j)`: w = 2 for a
+fixed elapsed time, which reads u0 and u1, and w = 4 for the window,
+which also reads u2 and u3. Results are therefore a pure function of
+(scenario, N, seed), independent of how replicas are partitioned across
+workers. SFC64 draws about a tenth faster but has no `advance`, so a
+worker could not jump to its first replica without drawing every
+uniform before it. Philox can jump, but draws a uniform at about 2.7
+times PCG64DXSM's cost, and its counter block held four per replica.
 
 Operational semantics of a triggered collapse: draw the latent outcome
 from the prior, then draw the observed output from the latent outcome's
@@ -88,6 +93,13 @@ class EmpiricalDist:
     counts: np.ndarray
     n: int
 
+    def __post_init__(self):
+        c = np.asarray(self.counts)
+        if not (c.ndim == 1 and self.n >= 1 and np.all((c >= 0) & (c == np.floor(c)))
+                and c.sum() == self.n):
+            raise InvalidSpec(f"counts must be integers in [0, {self.n}] that sum to "
+                              f"n = {self.n} >= 1, got {c.tolist()}")
+
     @property
     def freqs(self) -> np.ndarray:
         return self.counts / self.n
@@ -107,32 +119,35 @@ class EmpiricalDist:
         return 0.5 * (hi - lo)
 
 
-def replica_uniforms(seed: int, lo: int, hi: int):
-    """Uniform doubles for replicas [lo, hi), _BLOCK replicas at a time.
+def replica_uniforms(seed: int, lo: int, hi: int, *, width: int, point: int = 0):
+    """Uniform doubles for replicas [lo, hi) of grid point `point`, _BLOCK
+    replicas at a time.
 
-    Yields views of shape (m, 4) of one buffer, which each block
-    overwrites: copy a block to keep it. One generator, advanced once to
-    replica lo, draws every block. One Philox counter block per replica,
-    so partition-invariant by construction.
+    Yields views of shape (m, width) of one buffer, which each block
+    overwrites: copy a block to keep it. Replica j takes uniforms
+    [width*j, width*j + width) of the point's PCG64DXSM stream. One
+    generator, advanced once to replica lo, draws every block, so any
+    split of [lo, hi) yields the same uniforms.
     """
-    gen = np.random.Generator(np.random.Philox(key=seed).advance(lo))
-    buf = np.empty((min(_BLOCK, hi - lo), 4))
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(point,)))
+    gen = np.random.Generator(bits.advance(width * lo))
+    buf = np.empty((min(_BLOCK, hi - lo), width))
     return (gen.random(out=buf[:min(_BLOCK, hi - start)])
             for start in range(lo, hi, _BLOCK))
 
 
-def _simulate(p0: Distribution, cfg: SimConfig, columns, point: int = 0) -> EmpiricalDist:
+def _simulate(p0: Distribution, cfg: SimConfig, columns, width: int,
+              point: int = 0) -> EmpiricalDist:
     """The sampling kernel behind every simulator.
 
     Each worker takes one contiguous run of `point`'s replicas and draws it
-    block by block from one stream of uniforms.
+    block by block from the point's stream, `width` uniforms per replica.
     """
     cum_p0 = np.cumsum(p0.weights)
-    first = point << 128
 
     def run(lo, hi):
         counts = np.zeros(p0.size, dtype=np.int64)
-        for u in replica_uniforms(cfg.seed, first + lo, first + hi):
+        for u in replica_uniforms(cfg.seed, lo, hi, point=point, width=width):
             counts += np.bincount(_draw(u, cum_p0, columns), minlength=p0.size)
         return counts
 
@@ -176,7 +191,7 @@ def simulate_single(f: CollapseFamily, probe_elapsed, cfg: SimConfig):
     # one elapsed time per point, so one k x k cumulative table taken at each
     # latent: drawing from `f.columns` instead slows a 4e6-replica run by a third
     cums = np.cumsum(f.profile(probe_elapsed), axis=-1)
-    runs = [_simulate(f.p0, cfg, lambda latent, u, cum=cum.T: (c.take(latent) for c in cum), i)
+    runs = [_simulate(f.p0, cfg, lambda latent, u, cum=cum.T: (c.take(latent) for c in cum), 2, i)
             for i, cum in enumerate(cums.reshape(-1, f.size, f.size))]
     return runs[0] if cums.ndim == 2 else runs
 
@@ -208,7 +223,7 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
         elapsed = np.where(t_b >= t_a, t_b - t_a, math.inf)
         return itertools.accumulate(f.columns(latent, elapsed))
 
-    return _simulate(f.p0, cfg, columns)
+    return _simulate(f.p0, cfg, columns, 4)
 
 
 @dataclass(frozen=True)
@@ -232,16 +247,13 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
     exact multinomial test (sum of outcome probabilities no larger than
     the observed one), falling back to chi-square if enumeration would be
     too large. A one-outcome fit is perfect: p = 1 on either path.
-    The level must satisfy 0 < alpha < 1, and the counts must be integers,
-    of any dtype, in [0, e.n].
+    The level must satisfy 0 < alpha < 1; `EmpiricalDist` has checked the
+    counts.
     """
     check_level(alpha)
     if e.counts.size != p.size:
         raise AlphabetMismatch(
             f"alphabet sizes differ: {e.counts.size} vs {p.size}")
-    c = e.counts
-    if not np.all((c >= 0) & (c <= e.n) & (c == np.floor(c))):
-        raise InvalidSpec(f"counts must be integers in [0, {e.n}]")
     expected = e.n * p.weights
     if (np.all(expected >= 5)
             or p.size * math.comb(e.n + p.size - 1, p.size - 1) > _EXACT_CELL_LIMIT):
@@ -255,7 +267,7 @@ def gof_test(e: EmpiricalDist, p: Distribution, alpha: float = 0.01) -> GofRepor
         # one outcome (df = 0, where scipy.stats.chi2.sf gives NaN) always fits
         pval = _chi2_sf(p.size - 1, stat) if p.size > 1 else 1.0
         return GofReport(stat, pval, pval < alpha, "chi2")
-    return _exact_multinomial(e, p, alpha)
+    return _exact_multinomial(e.counts, p, alpha)
 
 
 def _chi2_sf(df: int, x: float) -> float:
@@ -286,13 +298,15 @@ def _chi2_sf(df: int, x: float) -> float:
     return min(tail, 1.0)  # where Q is near 1 the sum can round past it
 
 
-def _exact_multinomial(e: EmpiricalDist, p: Distribution, alpha: float) -> GofReport:
-    n, k = e.n, p.size
+def _exact_multinomial(counts: np.ndarray, p: Distribution, alpha: float) -> GofReport:
+    """The exact test of integer counts, of any dtype, whose sum n may be 0."""
+    counts = np.asarray(counts).astype(np.int64)
+    n, k = int(counts.sum()), p.size
     if k == 1:  # one outcome always fits
         return GofReport(None, 1.0, False, "exact")
     log_fact = _log_factorials(n)
     log_p = np.array([math.log(w) if w > 0 else -math.inf for w in p.weights])
-    obs_p = float(_multinomial_pmf(e.counts.astype(np.int64), log_fact, log_p))
+    obs_p = float(_multinomial_pmf(counts, log_fact, log_p))
     pval = 0.0
     for c in _compositions(n, k):
         q = _multinomial_pmf(c, log_fact, log_p)

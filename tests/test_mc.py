@@ -81,17 +81,19 @@ class TestDeterminism:
         assert sum(next(iter(outs))) == 1
 
     def test_stream_partition_invariance(self):
-        def uniforms(lo, hi):
-            return np.vstack([u.copy() for u in replica_uniforms(77, lo, hi)])
+        for point, width in ((0, 4), (0, 2), (3, 2)):
+            def uniforms(lo, hi):
+                return np.vstack([u.copy() for u in
+                                  replica_uniforms(77, lo, hi, point=point, width=width)])
 
-        full = uniforms(0, 2 * _BLOCK + 500)
-        assert full.shape == (2 * _BLOCK + 500, 4)
-        for cut in (123, _BLOCK, _BLOCK + 1):
-            parts = np.vstack([uniforms(0, cut), uniforms(cut, 2 * _BLOCK + 500)])
-            assert np.array_equal(full, parts)
+            full = uniforms(0, 2 * _BLOCK + 500)
+            assert full.shape == (2 * _BLOCK + 500, width)
+            for cut in (123, _BLOCK, _BLOCK + 1):
+                parts = np.vstack([uniforms(0, cut), uniforms(cut, 2 * _BLOCK + 500)])
+                assert np.array_equal(full, parts)
 
     def test_stream_blocks(self):
-        sizes = [len(u) for u in replica_uniforms(5, 3, 2 * _BLOCK + 10)]
+        sizes = [len(u) for u in replica_uniforms(5, 3, 2 * _BLOCK + 10, width=2)]
         assert sizes == [_BLOCK, _BLOCK, 7]
 
     def test_bad_config(self):
@@ -143,22 +145,23 @@ def triangle_window():
 
 
 class TestPinnedCounts:
-    """Exact counts, recorded when the kernel drew from whole cumulative rows
-    in blocks of 2^18 replicas; the column-by-column draw must reproduce them."""
+    """Exact counts of the PCG64DXSM stream layout, recorded once
+    TestStreamOracle's by-hand draw from whole cumulative rows reproduced
+    them; any change to the stream or to the draw shows here."""
 
     # kind: simulate_single at 0.4, simulate_twobox at tA = 0.1, tB = 0.35,
     # simulate_window on a uniform and on a triangular window
     PINNED = {
-        "instantaneous": ([4929, 7520, 12250], [4886, 7452, 12361],
-                          [5036, 7352, 12311], [4893, 7358, 12448]),
-        "linear": ([6443, 9846, 8410], [6995, 9422, 8282],
-                   [6081, 7926, 10692], [6161, 7875, 10663]),
-        "frozen": ([6421, 2276, 16002], [8744, 5895, 10060],
-                   [6372, 5855, 12472], [6506, 6098, 12095]),
-        "exponential": ([3211, 7900, 13588], [2805, 7383, 14511],
-                        [4163, 7277, 13259], [3964, 7170, 13565]),
-        "table": ([4844, 7475, 12380], [4887, 7325, 12487],
-                  [5013, 7380, 12306], [4939, 7337, 12423]),
+        "instantaneous": ([4925, 7432, 12342], [4908, 7283, 12508],
+                          [5035, 7281, 12383], [4900, 7419, 12380]),
+        "linear": ([6494, 9769, 8436], [7143, 9315, 8241],
+                   [6133, 7943, 10623], [6146, 7967, 10586]),
+        "frozen": ([6455, 2221, 16023], [8928, 5957, 9814],
+                   [6311, 5987, 12401], [6505, 6117, 12077]),
+        "exponential": ([3310, 7759, 13630], [2797, 7307, 14595],
+                        [4187, 7166, 13346], [3940, 7201, 13558]),
+        "table": ([5009, 7413, 12277], [5006, 7345, 12348],
+                  [5040, 7401, 12258], [4931, 7425, 12343]),
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -179,9 +182,71 @@ class TestPinnedCounts:
                simulate_window(lin, TimeDensity("truncexp", 2.0, rate=1.5), SimConfig(PIN_N, 106)),
                simulate_window(exp, TimeDensity("uniform", 1.0), SimConfig(PIN_N, 107)))
         assert [e.counts.tolist() for e in got] == [
-            [914, 1953, 2751, 3275, 3633, 3923, 4032, 4218],
-            [834, 1599, 2254, 2897, 3361, 4176, 4557, 5021],
-            [588, 1141, 1926, 2699, 3308, 4270, 4958, 5809]]
+            [990, 1864, 2749, 3364, 3624, 3812, 4025, 4271],
+            [843, 1585, 2195, 2829, 3451, 3964, 4686, 5146],
+            [538, 1213, 1867, 2767, 3320, 4269, 4944, 5781]]
+
+    def test_pins_are_hand_draws(self):
+        # the three-outcome pins, rebuilt from each seed's stream by hand
+        uniform = TimeDensity("uniform", 1.0)
+        fixed = [(101, 0.4), (102, 0.35 - 0.1)]
+        for f in rows_families():
+            hand = [hand_counts(f, stream(seed, 0, PIN_N, 2), np.full(PIN_N, t))
+                    for seed, t in fixed]
+            for seed, g in ((103, uniform), (104, triangle_window())):
+                u = stream(seed, 0, PIN_N, 4)
+                hand.append(hand_counts(f, u, window_elapsed(g, u)))
+            assert hand == list(self.PINNED[f.kind]), f.kind
+
+
+def stream(seed, point, n, width):
+    """Replicas [0, n) of a grid point, drawn by hand from numpy alone:
+    replica j takes uniforms [width*j, width*j + width) of the point's
+    PCG64DXSM stream, seeded by SeedSequence(seed, spawn_key=(point,))."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(point,)))
+    return np.random.Generator(bits).random(n * width).reshape(n, width)
+
+
+def window_elapsed(g, u):
+    """Bob's elapsed time in the window: u2 and u3 draw t_A and t_B."""
+    t_a, t_b = g.sample(u[:, 2]), g.sample(u[:, 3])
+    return np.where(t_b >= t_a, t_b - t_a, math.inf)
+
+
+def hand_counts(f, u, s):
+    """Counts of outputs drawn from whole cumulative rows: u0 draws the
+    latent from p0, u1 the output from the latent's row at elapsed time s."""
+    latent = np.minimum(np.searchsorted(np.cumsum(f.p0.weights), u[:, 0], side="right"),
+                        f.size - 1)
+    cum = np.cumsum(f.rows(latent, s), axis=1)
+    out = np.minimum((u[:, 1, None] >= cum).sum(1), f.size - 1)
+    return np.bincount(out, minlength=f.size).tolist()
+
+
+class TestStreamOracle:
+    """The simulators' counts are by-hand draws from `stream`, which calls
+    no replica_uniforms: two uniforms per replica at a fixed elapsed time,
+    four in the window, and a worker's `advance` lands where the stream is."""
+
+    N, SEED = 2 * _BLOCK + 77, 2**128 - 1
+
+    def test_fixed_elapsed_at_point_1(self):
+        u = stream(self.SEED, 1, self.N, 2)
+        for f in rows_families():
+            hand = hand_counts(f, u, np.full(self.N, 0.45))
+            for workers in (1, 2):
+                got = simulate_single(f, [0.2, 0.45], SimConfig(self.N, self.SEED, workers))
+                assert got[1].counts.tolist() == hand, (f.kind, workers)
+
+    def test_window(self):
+        u = stream(self.SEED, 0, self.N, 4)
+        for g in (TimeDensity("uniform", 1.0), triangle_window()):
+            s = window_elapsed(g, u)
+            for f in rows_families():
+                hand = hand_counts(f, u, s)
+                for workers in (1, 2):
+                    got = simulate_window(f, g, SimConfig(self.N, self.SEED, workers))
+                    assert got.counts.tolist() == hand, (f.kind, workers)
 
 
 class TestDrawOracle:
@@ -237,18 +302,18 @@ class TestDrawOracle:
 
 class TestGridPoints:
     """simulate_single at a 1-D array of times: time i is point i, replicas
-    (i << 128) + [0, n) of the seed's Philox stream."""
+    [0, n) of point i's PCG64DXSM stream, two uniforms each."""
 
     GRID = [0.0, 0.2, 0.45, math.inf]
 
     def test_layout_oracle(self):
-        # each point's counts are a by-hand draw from its counter range
+        # each point's counts are a by-hand draw from its own stream
         n, seed = _BLOCK + 77, 2**128 - 1
         for f in rows_families():
             got = simulate_single(f, self.GRID, SimConfig(n, seed))
             assert len(got) == len(self.GRID)
             for i, (t, e) in enumerate(zip(self.GRID, got)):
-                u = np.vstack([b.copy() for b in replica_uniforms(seed, i << 128, (i << 128) + n)])
+                u = np.vstack([b.copy() for b in replica_uniforms(seed, 0, n, point=i, width=2)])
                 latent = np.minimum(np.searchsorted(np.cumsum(f.p0.weights), u[:, 0],
                                                     side="right"), f.size - 1)
                 cum = np.cumsum(f.profile(t), axis=1)[latent]
@@ -281,7 +346,7 @@ class TestSimulateSingle:
         p = make_distribution([0.0, 0.5, 0.5])
         fam = make_family("linear", p, dt=(0.2, 0.4, 0.6))
         monkeypatch.setattr(mc, "replica_uniforms",
-                            lambda seed, lo, hi: [np.zeros((hi - lo, 4))])
+                            lambda seed, lo, hi, *, width, point: [np.zeros((hi - lo, width))])
         e = simulate_single(fam, 1.0, SimConfig(10, 0))
         assert e.counts[0] == 0 and e.counts.sum() == 10
 
@@ -428,6 +493,13 @@ class TestGofTest:
             gof_test(EmpiricalDist(np.array(counts), 24),
                      make_distribution([0.7, 0.2, 0.07, 0.03]))
 
+    @pytest.mark.parametrize("counts, n", [([3, 3], 10), ([3, 8], 10), ([[5, 5]], 10),
+                                           ([], 0), ([0, 0], 0), ([2, -1], 1)])
+    def test_counts_that_are_not_n_draws(self, counts, n):
+        # [3, 3] labelled as 10 draws passed the exact test with p = 0.99999...
+        with pytest.raises(InvalidSpec, match=f"sum to n = {n} >= 1"):
+            EmpiricalDist(np.array(counts, dtype=np.int64), n)
+
 
 def lex_compositions(n, k):
     """Compositions of n into k parts in lexicographic order, one at a time."""
@@ -464,8 +536,7 @@ class TestGofOracle:
         p = np.array(weights, dtype=float)
         p[-1] = 1.0 - p[:-1].sum()
         counts = np.asarray(counts)
-        rep = _exact_multinomial(EmpiricalDist(counts, int(counts.sum())),
-                                 make_distribution(p), 0.01)
+        rep = _exact_multinomial(counts, make_distribution(p), 0.01)
         assert rep.method == "exact"
         assert rep.pvalue == scipy_exact_pvalue(counts, p, per_composition)
 
