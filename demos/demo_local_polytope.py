@@ -5,7 +5,10 @@ deterministic strategies; the CHSH value separates local behaviors
 (|S| <= 2) from stronger-than-classical ones (up to 4 for the PR box).
 This script checks non-signaling, tests local-polytope membership by
 linear feasibility, and walks the PR-box/uniform-noise mixture across
-the CHSH threshold.
+the CHSH threshold. For a non-local box it prints the violation of the
+separating functional h . p <= c0 that the feasibility LP's dual gives:
+h has l1-norm at most 1, so the violation is the box's infinity-norm
+distance from the local polytope (1/8 for the PR box).
 
 Run:  python3 demos/demo_local_polytope.py
 """
@@ -33,7 +36,8 @@ def describe(label, box):
     print(f"{label:28} CHSH = {s:+.4f}  non-signaling: {ns.passed}  {tag}")
     if not loc.member and loc.facet is not None:
         _, _, viol = loc.facet
-        print(f"{'':28} separating functional violated by {viol:.4f}")
+        print(f"{'':28} separating functional violated by {viol:.4f} "
+              "(infinity-norm distance to the local polytope)")
 
 
 def main():

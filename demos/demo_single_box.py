@@ -16,7 +16,7 @@ from collapsebox import (
     make_distribution,
     make_family,
     marginal_at,
-    single_box_witness,
+    tv_distance,
     validate_family,
 )
 
@@ -43,7 +43,7 @@ def main():
         print(f"    {'elapsed':>8} {'P(0)':>8} {'P(1)':>8} {'witness':>9}")
         for s in np.linspace(0.0, fam.dt_max, 5):
             m = marginal_at(fam, float(s))
-            w = single_box_witness(fam, float(s))
+            w = tv_distance(m, P0)
             print(f"    {s:8.3f} {m[0]:8.4f} {m[1]:8.4f} {w:9.5f}")
         print()
 

@@ -18,13 +18,7 @@ from .behaviors import (
     tv_distance,
     uniform_box,
 )
-from .collapse import (
-    CollapseFamily,
-    make_family,
-    marginal_at,
-    single_box_witness,
-    validate_family,
-)
+from .collapse import CollapseFamily, make_family, marginal_at, validate_family
 from .mc import EmpiricalDist, SimConfig, gof_test, simulate_single, simulate_twobox, simulate_window
 from .scenarios import (
     Schedule,

@@ -157,9 +157,12 @@ def local_deterministic_vertices(nx, ny, na, nb) -> np.ndarray:
 def is_local(b: BoxBehavior, tol: float = 1e-9) -> LocalityReport:
     """Decide membership in the local deterministic polytope.
 
-    Solves min-infinity-norm linear feasibility over the enumerated
-    deterministic vertices; on membership returns convex weights, on
-    non-membership a separating Bell-type inequality.
+    One linear program over the enumerated deterministic vertices v: the
+    least t with |sum_v w_v v - p| <= t entrywise, w convex. Its residual t
+    is the infinity-norm distance from p to the polytope. A member gets the
+    convex weights w. A non-member gets a Bell-type certificate
+    (h, c0, violation) read from the same solve's dual: h . v <= c0 on every
+    vertex, ||h||_1 <= 1, and violation = h . p - c0 equals the residual.
     """
     from scipy.optimize import linprog  # deferred: adds 0.26 s to each import
 
@@ -184,19 +187,14 @@ def is_local(b: BoxBehavior, tol: float = 1e-9) -> LocalityReport:
         w = np.clip(res.x[:nv], 0.0, None)
         return LocalityReport(True, w, residual, None, verts)
 
-    # separating functional: max h.p - c0 s.t. h.v - c0 <= 0, |h| <= 1
-    c_obj = np.concatenate([-p, [1.0]])
-    a_sep = np.hstack([verts, -np.ones((nv, 1))])
-    bounds_sep = [(-1.0, 1.0)] * d + [(None, None)]
-    res2 = linprog(c_obj, A_ub=a_sep, b_ub=np.zeros(nv), bounds=bounds_sep,
-                   method="highs")
-    if not res2.success:
-        raise RuntimeError(f"separation LP failed: {res2.message}")
-    h = res2.x[:d]
-    c0 = float(res2.x[-1])
-    violation = float(h @ p - c0)
+    # HiGHS duals: u <= 0 on the two row blocks, mu on sum w = 1. Dual
+    # feasibility of the w columns is h . v <= c0, that of the t column
+    # ||h||_1 <= 1, and strong duality makes h . p - c0 the residual.
+    u = res.ineqlin.marginals
+    h = u[:d] - u[d:]
+    c0 = -float(res.eqlin.marginals[0])
     return LocalityReport(False, None, residual,
-                          (h.reshape(nx, ny, na, nb), c0, violation), verts)
+                          (h.reshape(nx, ny, na, nb), c0, float(h @ p - c0)), verts)
 
 
 def chsh_value(b: BoxBehavior) -> float:

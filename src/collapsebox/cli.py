@@ -178,7 +178,7 @@ def parse_sweep_grid(spec: str | None) -> dict:
         key, _, vals = part.partition("=")
         key = key.strip()
         if key not in ("dt", "dt_window", "n"):
-            raise CollapseBoxError(f"unknown sweep parameter {key!r}")
+            raise InvalidSpec(f"unknown sweep parameter {key!r}")
         if key in grid:
             raise InvalidSpec(f"sweep parameter {key!r} is given twice")
         conv = int if key == "n" else float
@@ -239,9 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         emp = simulate_window(f, bundle.window, cfg)
         targets = [("prior", f.p0), ("analytic", window_marginal(f, bundle.window))]
     else:
-        print("scenario has neither a schedule nor a window; nothing to simulate",
-              file=sys.stderr)
-        return 1
+        raise InvalidSpec("scenario has neither a schedule nor a window; nothing to simulate")
 
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "empirical.csv")

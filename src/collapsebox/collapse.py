@@ -20,14 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behaviors import Distribution, make_distribution, tv_distance
-from .errors import (
-    BoundaryViolation,
-    EmptyGrid,
-    InvalidSpec,
-    TimeBeforeTrigger,
-    TimeOutsideWindow,
-)
+from .behaviors import Distribution, make_distribution
+from .errors import BoundaryViolation, EmptyGrid, InvalidSpec, TimeBeforeTrigger
 
 KINDS = ("instantaneous", "linear", "exponential", "frozen", "table")
 
@@ -268,16 +262,3 @@ def marginal_at(f: CollapseFamily, elapsed: float) -> Distribution:
     m = f.profile(float(elapsed))
     out = f.p0.weights @ m
     return make_distribution(out, atol=1e-9)
-
-
-def single_box_witness(f: CollapseFamily, elapsed: float) -> float:
-    """TV distance between the evolved marginal and the prior.
-
-    Defined on the whole collapse window [0, dt_max]; beyond dt_max the
-    marginal has provably returned to the prior.
-    """
-    if elapsed < 0 or elapsed > f.dt_max:
-        raise TimeOutsideWindow(
-            f"elapsed {elapsed} outside the collapse window [0, {f.dt_max}]"
-        )
-    return tv_distance(marginal_at(f, elapsed), f.p0)

@@ -49,10 +49,6 @@ class TimeBeforeTrigger(CollapseBoxError):
     pass
 
 
-class TimeOutsideWindow(CollapseBoxError):
-    pass
-
-
 # --- quadrature ---
 
 class QuadratureFailure(CollapseBoxError):

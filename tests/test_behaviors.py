@@ -192,6 +192,59 @@ class TestLocalPolytope:
         rep = is_local(uniform_box())
         assert rep.member
 
+    def test_dual_certificate_on_random_non_members(self):
+        # random tables, and their mixtures with uniform noise, over 2-3
+        # inputs and outputs per party, and PR/noise mixtures past the CHSH
+        # bound: the certificate is the feasibility LP's dual, with
+        # ||h||_1 <= 1, h . v <= c0 on every vertex and violation = residual
+        rng = np.random.default_rng(28)
+        shapes = list(itertools.product((2, 3), repeat=4))
+        non_members = 0
+        for _ in range(300):
+            shape = shapes[rng.integers(len(shapes))]
+            if rng.random() < 0.25:
+                shape, lam = (2, 2, 2, 2), rng.uniform(0.51, 1.0)
+                t = lam * pr_box().table + (1 - lam) * uniform_box().table
+            else:
+                nx, ny, na, nb = shape
+                t = rng.dirichlet(np.ones(na * nb), size=(nx, ny)).reshape(shape)
+                lam = rng.uniform(0.2, 1.0)
+                t = lam * t + (1 - lam) * uniform_box(*shape).table
+            b = BoxBehavior(t)
+            rep = is_local(b)
+            if rep.member:
+                continue
+            non_members += 1
+            h, c0, violation = rep.facet
+            h, p = h.ravel(), b.table.ravel()
+            assert np.abs(h).sum() <= 1.0 + 1e-9
+            assert np.all(rep.vertices @ h <= c0 + 1e-9)
+            assert violation == h @ p - c0
+            assert abs(violation - rep.residual) <= 1e-9
+        assert non_members >= 200
+
+    def test_pr_box_certificate_scale(self):
+        # the PR box is 1/8 from the local polytope in the infinity norm
+        rep = is_local(pr_box())
+        assert rep.residual == pytest.approx(0.125, abs=1e-12)
+        assert rep.facet[2] == pytest.approx(0.125, abs=1e-12)
+
+    @pytest.mark.parametrize("box", [pr_box, uniform_box])
+    def test_one_linprog_call(self, monkeypatch, box):
+        import scipy.optimize
+
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(None)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+        rep = is_local(box())
+        assert rep.member == (box is uniform_box)
+        assert len(calls) == 1
+
     def test_certificate_reconstructs_table(self):
         rng = np.random.default_rng(11)
         verts = local_deterministic_vertices(2, 2, 2, 2)

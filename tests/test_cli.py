@@ -189,7 +189,9 @@ class TestSimulateCommand:
         write_scenario(scen, schedule=None, window=None)
         rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "neither a schedule nor a window" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "neither a schedule nor a window" in err
+        assert err.startswith("error: InvalidSpec: ")
         assert not (tmp_path / "out").exists()
 
     def test_zero_replicas(self, tmp_path):
@@ -257,6 +259,18 @@ class TestSweepCommand:
         rc = main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "error: EmptyGrid: sweep needs a --grid specification" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, name", [("bogus=1", "bogus"), ("dt=0.5;", "")])
+    def test_unknown_parameter(self, tmp_path, capsys, spec, name):
+        # an unknown name, and the empty one that a trailing ';' leaves
+        scen = tmp_path / "s.json"
+        write_scenario(scen)
+        rc = main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "out"),
+                   "--grid", spec])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: InvalidSpec: unknown sweep parameter {name!r}\n"
         assert not (tmp_path / "out").exists()
 
     def test_windowless_theta_omega_empty(self, tmp_path):

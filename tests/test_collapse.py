@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsebox.behaviors import make_distribution
+from collapsebox.behaviors import make_distribution, tv_distance
 from collapsebox.cli import family_from_dict
 from collapsebox.collapse import (
     KINDS,
     make_family,
     marginal_at,
-    single_box_witness,
     validate_family,
 )
 from collapsebox.errors import (
@@ -19,7 +18,6 @@ from collapsebox.errors import (
     EmptyGrid,
     InvalidSpec,
     TimeBeforeTrigger,
-    TimeOutsideWindow,
 )
 from collapsebox.mc import SimConfig, simulate_single
 from collapsebox.scenarios import bob_marginal
@@ -341,37 +339,42 @@ class TestMarginalAt:
             marginal_at(fam, -0.1)
 
 
+def single_box_tv(f, s):
+    """The single-box witness: TV between the marginal at s and the prior."""
+    return tv_distance(marginal_at(f, s), f.p0)
+
+
 class TestSingleBoxWitness:
     def test_instantaneous_always_zero(self):
         fam = make_family("instantaneous", P0)
         for s in (0.0,):
-            assert single_box_witness(fam, s) == 0.0
+            assert single_box_tv(fam, s) == 0.0
         rng = np.random.default_rng(5)
         for _ in range(10):
             w = rng.random(3) + 1e-3
             p = make_distribution(w / w.sum())
             fi = make_family("instantaneous", p)
-            assert single_box_witness(fi, 0.0) <= 1e-12
+            assert single_box_tv(fi, 0.0) <= 1e-12
 
     def test_equal_dt_linear_zero(self):
         fam = make_family("linear", P0, dt=(1.0, 1.0))
-        assert single_box_witness(fam, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert single_box_tv(fam, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_asymmetric_value(self):
-        assert single_box_witness(asym_family(), 0.5) == pytest.approx(
+        assert single_box_tv(asym_family(), 0.5) == pytest.approx(
             0.21, abs=1e-12)
 
     def test_outside_window(self):
-        with pytest.raises(TimeOutsideWindow):
-            single_box_witness(asym_family(), 1.5)
-        with pytest.raises(TimeOutsideWindow):
-            single_box_witness(asym_family(), -0.1)
+        # past dt_max every row is its delta, so the marginal is the prior
+        assert single_box_tv(asym_family(), 1.5) == 0.0
+        with pytest.raises(TimeBeforeTrigger):
+            single_box_tv(asym_family(), -0.1)
 
     def test_monotone_on_shared_window(self):
         # built-in with positive shortest collapse time
         fam = make_family("frozen", P0, dt=(0.4, 1.0))
         grid = np.linspace(0.0, fam.dt_min, 50)
-        vals = [single_box_witness(fam, float(s)) for s in grid]
+        vals = [single_box_tv(fam, float(s)) for s in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
