@@ -5,7 +5,7 @@ scenarios, a seeded Monte Carlo engine that cross-checks every evaluator,
 and signaling quantification (witness sweeps, induced-channel capacity).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .behaviors import (
     BoxBehavior,

@@ -116,13 +116,15 @@ class CollapseFamily:
 
     def columns(self, latent: np.ndarray, s: np.ndarray):
         """Column a' of `rows(latent, s)` for each a' in turn, equal to it bit
-        for bit, so a caller never holds an n-wide row per replica."""
+        for bit, so a caller never holds an n-wide row per replica. A scalar
+        latent holds for every time."""
         latent, s = np.asarray(latent), np.asarray(s, dtype=float)
         if self.kind == "table":
-            at = [np.flatnonzero(latent == a) for a in range(self.size)]
+            at = ([(latent, ...)] if latent.ndim == 0 else
+                  [(a, np.flatnonzero(latent == a)) for a in range(self.size)])
             for ap in range(self.size):
                 out = np.empty(s.shape)
-                for a, i in enumerate(at):
+                for a, i in at:
                     out[i] = np.interp(s[i], self.grid_times, self.grid_values[:, a, ap])
                 yield out
             return

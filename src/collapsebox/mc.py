@@ -1,31 +1,35 @@
 """Seeded Monte Carlo engine for the collapse model.
 
-Each grid point p draws from its own PCG64DXSM stream, seeded by
-SeedSequence(seed, spawn_key=(p,)). Replica j of point p takes uniforms
-[w*j, w*j + w) of that stream, reached with `advance(w*j)`: w = 2 for a
-fixed elapsed time, which reads u0 and u1, and w = 4 for the window,
-which also reads u2 and u3. Results are therefore a pure function of
-(scenario, N, seed), independent of how replicas are partitioned across
-workers. SFC64 draws about a tenth faster but has no `advance`, so a
-worker could not jump to its first replica without drawing every
-uniform before it. Philox can jump, but draws a uniform at about 2.7
-times PCG64DXSM's cost, and its counter block held four per replica.
-
 Operational semantics of a triggered collapse: draw the latent outcome
 from the prior, then draw the observed output from the latent outcome's
-collapse-family row at the probe's elapsed time. One kernel does this
-for every experiment and uses each replica's uniforms the same way: u0
-draws the latent, u1 the output, and in the window experiment u2 and u3
-draw Alice's and Bob's input times.
+collapse-family row at the probe's elapsed time. Only the latent counts
+matter, so each grid point p draws them at once: its PCG64DXSM stream,
+seeded by SeedSequence(seed, spawn_key=(p,)), first draws
+L ~ Multinomial(n, P0). At a fixed elapsed time every replica of latent
+a then reads the same row, and the same stream draws the k x k joint
+counts Multinomial(L_a, f_a(s)), whose column sums are Bob's counts:
+two multinomial calls per point, whatever n (conditional multinomial
+sampling; Devroye, Non-Uniform Random Variate Generation, 1986).
 
-Replicas run in blocks of _BLOCK = 2^13. A float column of a block then
-takes 64 KB, under glibc's default 128 KB mmap threshold, so each block's
-temporaries come from the heap; how many pages a run faults in depends
-on the heap's history. Each worker draws its run of blocks from one
-generator into one buffer. Each draw compares its uniform with one
-cumulative weight column at a time (`CollapseFamily.columns` in the
-window), all but the last, which equals the draw from whole cumulative
-rows bit for bit.
+The window's elapsed times differ per replica. Its replicas are numbered
+in latent order, and replica j takes uniforms [3j, 3j + 3) of point 0's
+second stream, SeedSequence(seed, spawn_key=(0, 1)): t_A, t_B and the
+output uniform, reached with `advance(3j)`. Results are therefore a pure
+function of (scenario, N, seed), independent of the block size and of
+how replicas are partitioned across workers. SFC64 draws about a tenth
+faster but has no `advance`, so a worker could not jump to its first
+replica without drawing every uniform before it. Philox can jump, but
+draws a uniform at about 2.7 times PCG64DXSM's cost.
+
+The window runs its replicas in blocks of _BLOCK = 2^13. A float column
+of a block then takes 64 KB, under glibc's default 128 KB mmap
+threshold, so each block's temporaries come from the heap; how many
+pages a run faults in depends on the heap's history (see _BLOCK). Each
+worker draws its run of blocks from one generator into one buffer, and
+cuts each block at the latent boundaries. A piece of latent a compares its output
+uniforms with the cumulative columns of row a (`CollapseFamily.columns`
+at a scalar latent), all but the last, and counts with np.count_nonzero
+those at or above each. Both draws follow one law, that of `_cell_probs`.
 The goodness-of-fit test loads no scipy: the chi-square test takes its
 tail from a closed form over `math`, and the exact multinomial test its
 log-factorials from a table equal to scipy.special.gammaln bit for bit.
@@ -67,9 +71,11 @@ _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
 _STIRLING_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
                    0.0833333333333333333333)
 
-# replicas per block: a float column of a block takes 64 KB, under glibc's
-# default 128 KB mmap threshold, so a block's temporaries come from the heap
-# instead of being mapped anew for each block
+# window replicas per block: a float column of a block takes 64 KB, under glibc's
+# default 128 KB mmap threshold, so a block's temporaries come from the heap.
+# Past the trim threshold, twice the largest mapped block freed (the 192 KB
+# uniform buffer), glibc hands them back and faults them in for every block;
+# whether they pass it depends on the process's heap history (see CHANGES.md)
 _BLOCK = 1 << 13
 
 
@@ -82,6 +88,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec("replica count must be >= 1")
+        if self.n >= 2**63:  # numpy's multinomial counts are int64
+            raise InvalidSpec(f"replica count must be < 2**63, got {self.n}")
         if self.workers < 1:
             raise InvalidSpec("worker count must be >= 1")
         if not 0 <= self.seed < 2**128:
@@ -119,81 +127,66 @@ class EmpiricalDist:
         return 0.5 * (hi - lo)
 
 
-def replica_uniforms(seed: int, lo: int, hi: int, *, width: int, point: int = 0):
-    """Uniform doubles for replicas [lo, hi) of grid point `point`, _BLOCK
-    replicas at a time.
+def replica_uniforms(seed: int, lo: int, hi: int):
+    """The window's uniforms for replicas [lo, hi), _BLOCK replicas at a time.
 
-    Yields views of shape (m, width) of one buffer, which each block
+    Yields views of shape (m, 3) of one buffer, which each block
     overwrites: copy a block to keep it. Replica j takes uniforms
-    [width*j, width*j + width) of the point's PCG64DXSM stream. One
-    generator, advanced once to replica lo, draws every block, so any
-    split of [lo, hi) yields the same uniforms.
+    [3j, 3j + 3) of point 0's second stream, SeedSequence(seed,
+    spawn_key=(0, 1)): t_A, t_B and the output uniform. One generator,
+    advanced once to replica lo, draws every block, so any split of
+    [lo, hi) yields the same uniforms.
     """
-    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(point,)))
-    gen = np.random.Generator(bits.advance(width * lo))
-    buf = np.empty((min(_BLOCK, hi - lo), width))
+    gen = _stream(seed, 0, 1)
+    gen.bit_generator.advance(3 * lo)
+    buf = np.empty((min(_BLOCK, hi - lo), 3))
     return (gen.random(out=buf[:min(_BLOCK, hi - start)])
             for start in range(lo, hi, _BLOCK))
 
 
-def _simulate(p0: Distribution, cfg: SimConfig, columns, width: int,
-              point: int = 0) -> EmpiricalDist:
-    """The sampling kernel behind every simulator.
+def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
-    Each worker takes one contiguous run of `point`'s replicas and draws it
-    block by block from the point's stream, `width` uniforms per replica.
+
+def _cell_probs(weights: np.ndarray) -> np.ndarray:
+    """Cell probabilities on the last axis of `weights` that
+    `Generator.multinomial` accepts: the differences of the cumulative sums
+    of their positive parts, capped at 1, with the last sum set to 1.
+
+    For nonnegative weights this is the law of the inverse-CDF draw that
+    takes the first index whose cumulative weight exceeds a uniform, which
+    the window draws. `make_distribution` admits a sum of 1 + 1e-9, and a
+    validated table row entries down to -1e-9. numpy refuses both, and the
+    cap and the positive parts move no more probability than that.
     """
-    cum_p0 = np.cumsum(p0.weights)
-
-    def run(lo, hi):
-        counts = np.zeros(p0.size, dtype=np.int64)
-        for u in replica_uniforms(cfg.seed, lo, hi, point=point, width=width):
-            counts += np.bincount(_draw(u, cum_p0, columns), minlength=p0.size)
-        return counts
-
-    blocks = -(-cfg.n // _BLOCK)
-    workers = min(cfg.workers, blocks)
-    if workers == 1:
-        return EmpiricalDist(run(0, cfg.n), cfg.n)
-    from concurrent.futures import ThreadPoolExecutor  # deferred: adds 12 modules to each import
-    edges = [min(cfg.n, _BLOCK * (blocks * k // workers)) for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return EmpiricalDist(sum(pool.map(run, edges[:-1], edges[1:])), cfg.n)
+    cum = np.minimum(np.cumsum(np.maximum(weights, 0.0), axis=-1), 1.0)
+    cum[..., -1] = 1.0
+    return np.diff(cum, axis=-1, prepend=0.0)
 
 
-def _draw(u: np.ndarray, cum_p0: np.ndarray, columns) -> np.ndarray:
-    """The output of each replica of a block of uniforms.
-
-    Uniform 0 draws the latent from p0 and uniform 1 the output. Each draw
-    counts the first n - 1 cumulative weights at or below the uniform: the
-    first index whose weight exceeds it, or n - 1. This needs the columns
-    to be nondecreasing, as the cumulative sums of every mixture kind and
-    of a table with nonnegative values are; the last column then never
-    changes a draw, and is never computed. `columns(latent, u)` yields the
-    replicas' cumulative output weights one column at a time.
-    """
-    n = cum_p0.size
-    latent = _count(np.ascontiguousarray(u[:, 0]), cum_p0, n)
-    return _count(np.ascontiguousarray(u[:, 1]), columns(latent, u), n)
-
-
-def _count(x: np.ndarray, columns, n: int) -> np.ndarray:
-    """How many of the first n - 1 columns each element of x is at or above."""
-    k = np.zeros(x.size, dtype=np.min_scalar_type(n))
-    for column in itertools.islice(columns, n - 1):
-        k += x >= column
-    return k
+def _latent_counts(p0: Distribution, cfg: SimConfig, point: int):
+    """Grid point `point`'s generator, and the latent counts of its n
+    replicas, Multinomial(n, P0), which are that generator's first draw."""
+    gen = _stream(cfg.seed, point)
+    return gen, gen.multinomial(cfg.n, _cell_probs(p0.weights))
 
 
 def simulate_single(f: CollapseFamily, probe_elapsed, cfg: SimConfig):
     """Single box: trigger at 0, probe at `probe_elapsed`. For a 1-D array of
-    m times, a list of m EmpiricalDists, time i drawn at point i."""
-    # one elapsed time per point, so one k x k cumulative table taken at each
-    # latent: drawing from `f.columns` instead slows a 4e6-replica run by a third
-    cums = np.cumsum(f.profile(probe_elapsed), axis=-1)
-    runs = [_simulate(f.p0, cfg, lambda latent, u, cum=cum.T: (c.take(latent) for c in cum), 2, i)
-            for i, cum in enumerate(cums.reshape(-1, f.size, f.size))]
-    return runs[0] if cums.ndim == 2 else runs
+    m times, a list of m EmpiricalDists, time i drawn at point i.
+
+    At one elapsed time every replica of latent a draws from the same row
+    f_a(s), so point i's generator draws the latent counts L and then the
+    k x k joint counts Multinomial(L_a, f_a(s)) of each latent's row;
+    Bob's counts are its column sums. A point costs two multinomial calls
+    whatever n.
+    """
+    probs = _cell_probs(f.profile(probe_elapsed))
+    runs = []
+    for i, p in enumerate(probs.reshape(-1, f.size, f.size)):
+        gen, latent = _latent_counts(f.p0, cfg, i)
+        runs.append(EmpiricalDist(gen.multinomial(latent, p).sum(axis=0), cfg.n))
+    return runs[0] if probs.ndim == 2 else runs
 
 
 def simulate_twobox(f: CollapseFamily, sched: Schedule,
@@ -212,18 +205,55 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
                     cfg: SimConfig) -> EmpiricalDist:
     """Randomized-window experiment with Alice choosing the triggering input.
 
-    Uniforms 2 and 3 draw the input times t_A and t_B independently from
-    the window density. If Alice acts first her input fixes the latent and
-    Bob reads its family row at t_B - t_A; if Bob acts first he triggers
-    and reads the latent itself (elapsed time inf).
+    Point 0's generator draws the latent counts, and the replicas are
+    numbered in latent order. Replica j's uniforms (`replica_uniforms`)
+    draw the input times t_A and t_B independently from the window
+    density, then its output. If Alice acts first her input fixes the
+    latent and Bob reads its family row at t_B - t_A; if Bob acts first
+    he triggers and reads the latent itself (elapsed time inf). Each
+    worker takes one contiguous run of blocks (`_window_block`).
     """
-    def columns(latent, u):
-        t_a = g.sample(u[:, 2])
-        t_b = g.sample(u[:, 3])
-        elapsed = np.where(t_b >= t_a, t_b - t_a, math.inf)
-        return itertools.accumulate(f.columns(latent, elapsed))
+    _, latent = _latent_counts(f.p0, cfg, 0)
+    bounds = np.concatenate([[0], np.cumsum(latent)])
 
-    return _simulate(f.p0, cfg, columns, 4)
+    def run(lo, hi):
+        above = np.zeros(f.size - 1, dtype=np.int64)
+        for start, u in zip(range(lo, hi, _BLOCK), replica_uniforms(cfg.seed, lo, hi)):
+            above += _window_block(f, g, u, np.clip(bounds - start, 0, len(u)))
+        return above
+
+    blocks = -(-cfg.n // _BLOCK)
+    workers = min(cfg.workers, blocks)
+    if workers == 1:
+        above = run(0, cfg.n)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: adds 12 modules to each import
+        edges = [min(cfg.n, _BLOCK * (blocks * w // workers)) for w in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            above = sum(pool.map(run, edges[:-1], edges[1:]))
+    # outcome b holds the replicas at or above cumulative column b - 1 but not b
+    return EmpiricalDist(-np.diff(np.concatenate([[cfg.n], above, [0]])), cfg.n)
+
+
+def _window_block(f: CollapseFamily, g: TimeDensity, u: np.ndarray, cuts) -> np.ndarray:
+    """How many replicas of one window block have an output uniform at or
+    above each of the first k - 1 cumulative columns of their latent's row;
+    replicas cuts[a]:cuts[a + 1] hold latent a. Its temporaries die with
+    it, before the next block is drawn: kept across blocks, they raised the
+    peak RSS of a 20,000-replica run."""
+    t_a, t_b = g.sample(u[:, 0]), g.sample(u[:, 1])
+    elapsed = np.where(t_b >= t_a, t_b - t_a, math.inf)
+    del t_a, t_b  # fewer live temporaries pass the trim threshold less often (_BLOCK)
+    out = np.ascontiguousarray(u[:, 2])
+    above = np.zeros(f.size - 1, dtype=np.int64)
+    for a in np.flatnonzero(cuts[1:] > cuts[:-1]):
+        piece = slice(cuts[a], cuts[a + 1])
+        columns = f.columns(a, elapsed[piece])
+        if f.kind == "table":  # a validated table may hold entries down to -1e-9
+            columns = (np.maximum(c, 0.0) for c in columns)
+        for i, cum in enumerate(itertools.accumulate(itertools.islice(columns, f.size - 1))):
+            above[i] += np.count_nonzero(out[piece] >= cum)
+    return above
 
 
 @dataclass(frozen=True)

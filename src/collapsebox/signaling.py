@@ -75,9 +75,9 @@ def witness_sweep(f: CollapseFamily, grid, cfg: SimConfig | None = None,
     if `cfg` is given. Bob's x = 1 marginals are P0 @ profile(grid), one call
     of m k^2 doubles for m points and k outcomes, so a negative or NaN point
     fails before any Monte Carlo run. One `simulate_single` call draws Bob's
-    x = 1 outputs, point i from replicas [0, n) of its own PCG64DXSM stream,
-    SeedSequence(cfg.seed, spawn_key=(i,)); an infinite time, where every
-    row is a delta, is valid too. A signaling verdict needs an analytic TV
+    x = 1 outputs, point i from its own PCG64DXSM stream,
+    SeedSequence(cfg.seed, spawn_key=(i,)), in two multinomial calls
+    whatever n; an infinite time, where every row is a delta, is valid too. A signaling verdict needs an analytic TV
     above _DETECTION_FLOOR and a goodness-of-fit rejection, so neither
     quadrature residue nor sampling noise alone can trigger a detection.
     """

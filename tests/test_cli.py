@@ -393,6 +393,7 @@ class TestMalformedInput:
                         "schedule": None}, "'times'"),
         (["simulate", "--seed", "-1"], {}, "-1"),
         (["simulate", "--seed", str(2**128)], {}, str(2**128)),
+        (["witness", "--n", str(2**63)], {}, f"replica count must be < 2**63, got {2**63}"),
         (["witness"], {"family": {"kind": "exponential", "rates": [1e-320, 1.0]}}, "1e-320"),
         (["witness", "--grid", "0,nan"], {}, "'nan'"),
         (["witness", "--grid", "inf"], {}, "'inf'"),
@@ -431,7 +432,7 @@ class TestMalformedInput:
             "schedule-tB", "schedule-x", "schedule-x-float",
             "schedule-x-bool", "dt-window", "p0-string", "family-p0-string",
             "grid-list-not-object", "grid-times-string", "density-rate", "density-times",
-            "seed-negative", "seed-2**128", "rate-tiny", "grid-nan", "grid-inf",
+            "seed-negative", "seed-2**128", "n-2**63", "rate-tiny", "grid-nan", "grid-inf",
             "grid-range-inf", "sweep-nan", "sweep-seed-negative", "sweep-n-zero",
             "sweep-seed-with-n-axis",
             "sweep-dt-exponential", "sweep-no-window", "sweep-table-window",

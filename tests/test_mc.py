@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import collapsebox.mc as mc
 from collapsebox.behaviors import make_distribution
-from collapsebox.collapse import make_family, marginal_at
+from collapsebox.collapse import CollapseFamily, make_family, marginal_at
 from collapsebox.errors import AlphabetMismatch, InvalidSpec
 from collapsebox.mc import (
     _BLOCK,
@@ -81,19 +81,17 @@ class TestDeterminism:
         assert sum(next(iter(outs))) == 1
 
     def test_stream_partition_invariance(self):
-        for point, width in ((0, 4), (0, 2), (3, 2)):
-            def uniforms(lo, hi):
-                return np.vstack([u.copy() for u in
-                                  replica_uniforms(77, lo, hi, point=point, width=width)])
+        def uniforms(lo, hi):
+            return np.vstack([u.copy() for u in replica_uniforms(77, lo, hi)])
 
-            full = uniforms(0, 2 * _BLOCK + 500)
-            assert full.shape == (2 * _BLOCK + 500, width)
-            for cut in (123, _BLOCK, _BLOCK + 1):
-                parts = np.vstack([uniforms(0, cut), uniforms(cut, 2 * _BLOCK + 500)])
-                assert np.array_equal(full, parts)
+        full = uniforms(0, 2 * _BLOCK + 500)
+        assert full.shape == (2 * _BLOCK + 500, 3)
+        for cut in (123, _BLOCK, _BLOCK + 1):
+            parts = np.vstack([uniforms(0, cut), uniforms(cut, 2 * _BLOCK + 500)])
+            assert np.array_equal(full, parts)
 
     def test_stream_blocks(self):
-        sizes = [len(u) for u in replica_uniforms(5, 3, 2 * _BLOCK + 10, width=2)]
+        sizes = [len(u) for u in replica_uniforms(5, 3, 2 * _BLOCK + 10)]
         assert sizes == [_BLOCK, _BLOCK, 7]
 
     def test_bad_config(self):
@@ -103,6 +101,11 @@ class TestDeterminism:
             SimConfig(10, -1)
         with pytest.raises(InvalidSpec, match="worker count"):
             SimConfig(10, 1, workers=0)
+        # numpy's multinomial counts are int64: n = 2**63 would overflow them
+        with pytest.raises(InvalidSpec, match=r"< 2\*\*63, got 9223372036854775808"):
+            SimConfig(2**63, 1)
+        e = simulate_single(asym_family(), 0.5, SimConfig(2**63 - 1, 1))
+        assert e.counts.sum() == 2**63 - 1
 
 
 class TestBlockAndWorkerInvariance:
@@ -145,23 +148,23 @@ def triangle_window():
 
 
 class TestPinnedCounts:
-    """Exact counts of the PCG64DXSM stream layout, recorded once
-    TestStreamOracle's by-hand draw from whole cumulative rows reproduced
-    them; any change to the stream or to the draw shows here."""
+    """Exact counts of the stream layout, recorded once TestStreamOracle's
+    by-hand draws reproduced them; any change to the streams or to the
+    draws shows here."""
 
     # kind: simulate_single at 0.4, simulate_twobox at tA = 0.1, tB = 0.35,
     # simulate_window on a uniform and on a triangular window
     PINNED = {
-        "instantaneous": ([4925, 7432, 12342], [4908, 7283, 12508],
-                          [5035, 7281, 12383], [4900, 7419, 12380]),
-        "linear": ([6494, 9769, 8436], [7143, 9315, 8241],
-                   [6133, 7943, 10623], [6146, 7967, 10586]),
-        "frozen": ([6455, 2221, 16023], [8928, 5957, 9814],
-                   [6311, 5987, 12401], [6505, 6117, 12077]),
-        "exponential": ([3310, 7759, 13630], [2797, 7307, 14595],
-                        [4187, 7166, 13346], [3940, 7201, 13558]),
-        "table": ([5009, 7413, 12277], [5006, 7345, 12348],
-                  [5040, 7401, 12258], [4931, 7425, 12343]),
+        "instantaneous": ([4978, 7366, 12355], [5008, 7320, 12371],
+                          [4834, 7531, 12334], [4913, 7429, 12357]),
+        "linear": ([6572, 9692, 8435], [7154, 9268, 8277],
+                   [5934, 8120, 10645], [6225, 7978, 10496]),
+        "frozen": ([6474, 2201, 16024], [8933, 5843, 9923],
+                   [6150, 6161, 12388], [6603, 6123, 11973]),
+        "exponential": ([3250, 7759, 13690], [2832, 7392, 14475],
+                        [3959, 7429, 13311], [4023, 7249, 13427]),
+        "table": ([4859, 7424, 12416], [5028, 7400, 12271],
+                  [4846, 7529, 12324], [4971, 7482, 12246]),
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -182,127 +185,159 @@ class TestPinnedCounts:
                simulate_window(lin, TimeDensity("truncexp", 2.0, rate=1.5), SimConfig(PIN_N, 106)),
                simulate_window(exp, TimeDensity("uniform", 1.0), SimConfig(PIN_N, 107)))
         assert [e.counts.tolist() for e in got] == [
-            [990, 1864, 2749, 3364, 3624, 3812, 4025, 4271],
-            [843, 1585, 2195, 2829, 3451, 3964, 4686, 5146],
-            [538, 1213, 1867, 2767, 3320, 4269, 4944, 5781]]
+            [959, 1947, 2810, 3356, 3581, 3827, 3927, 4292],
+            [796, 1602, 2282, 2914, 3456, 4102, 4491, 5056],
+            [545, 1192, 1886, 2612, 3411, 4150, 5081, 5822]]
 
     def test_pins_are_hand_draws(self):
-        # the three-outcome pins, rebuilt from each seed's stream by hand
+        # the three-outcome pins, rebuilt from each seed's streams by hand
         uniform = TimeDensity("uniform", 1.0)
-        fixed = [(101, 0.4), (102, 0.35 - 0.1)]
         for f in rows_families():
-            hand = [hand_counts(f, stream(seed, 0, PIN_N, 2), np.full(PIN_N, t))
-                    for seed, t in fixed]
-            for seed, g in ((103, uniform), (104, triangle_window())):
-                u = stream(seed, 0, PIN_N, 4)
-                hand.append(hand_counts(f, u, window_elapsed(g, u)))
+            hand = [hand_fixed(f, 101, 0, PIN_N, 0.4), hand_fixed(f, 102, 0, PIN_N, 0.35 - 0.1),
+                    hand_window(f, uniform, 103, PIN_N), hand_window(f, triangle_window(), 104, PIN_N)]
             assert hand == list(self.PINNED[f.kind]), f.kind
 
 
-def stream(seed, point, n, width):
-    """Replicas [0, n) of a grid point, drawn by hand from numpy alone:
-    replica j takes uniforms [width*j, width*j + width) of the point's
-    PCG64DXSM stream, seeded by SeedSequence(seed, spawn_key=(point,))."""
-    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(point,)))
-    return np.random.Generator(bits).random(n * width).reshape(n, width)
+def generator(seed, *spawn_key):
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
-def window_elapsed(g, u):
-    """Bob's elapsed time in the window: u2 and u3 draw t_A and t_B."""
-    t_a, t_b = g.sample(u[:, 2]), g.sample(u[:, 3])
-    return np.where(t_b >= t_a, t_b - t_a, math.inf)
+def cell_probs(rows):
+    """Multinomial cell probabilities of nonnegative rows: the differences
+    of their cumulative sums, capped at 1, with the last sum set to 1."""
+    cum = np.minimum(np.cumsum(rows, axis=-1), 1.0)
+    cum[..., -1] = 1.0
+    return np.diff(cum, axis=-1, prepend=0.0)
 
 
-def hand_counts(f, u, s):
-    """Counts of outputs drawn from whole cumulative rows: u0 draws the
-    latent from p0, u1 the output from the latent's row at elapsed time s."""
-    latent = np.minimum(np.searchsorted(np.cumsum(f.p0.weights), u[:, 0], side="right"),
-                        f.size - 1)
-    cum = np.cumsum(f.rows(latent, s), axis=1)
-    out = np.minimum((u[:, 1, None] >= cum).sum(1), f.size - 1)
+def hand_fixed(f, seed, point, n, s):
+    """Bob's counts at elapsed time s, drawn by hand from numpy alone: point
+    p's stream, SeedSequence(seed, spawn_key=(p,)), draws the latent counts
+    L ~ Multinomial(n, P0), then the joint counts Multinomial(L_a, f_a(s)),
+    whose column sums are Bob's counts."""
+    gen = generator(seed, point)
+    latent = gen.multinomial(n, cell_probs(f.p0.weights))
+    return gen.multinomial(latent, cell_probs(f.profile(s))).sum(axis=0).tolist()
+
+
+def hand_window(f, g, seed, n):
+    """The window's counts, drawn by hand from whole cumulative rows: point
+    0's stream draws the latent counts, the replicas are numbered in latent
+    order, and replica j takes uniforms [3j, 3j + 3) of the stream
+    SeedSequence(seed, spawn_key=(0, 1)) for t_A, t_B and its output."""
+    latent = np.repeat(np.arange(f.size), generator(seed, 0).multinomial(n, cell_probs(f.p0.weights)))
+    u = generator(seed, 0, 1).random(3 * n).reshape(n, 3)
+    t_a, t_b = g.sample(u[:, 0]), g.sample(u[:, 1])
+    cum = np.cumsum(f.rows(latent, np.where(t_b >= t_a, t_b - t_a, math.inf)), axis=1)
+    out = np.minimum((u[:, 2, None] >= cum).sum(1), f.size - 1)
     return np.bincount(out, minlength=f.size).tolist()
 
 
 class TestStreamOracle:
-    """The simulators' counts are by-hand draws from `stream`, which calls
-    no replica_uniforms: two uniforms per replica at a fixed elapsed time,
-    four in the window, and a worker's `advance` lands where the stream is."""
+    """The simulators' counts are by-hand draws from numpy's multinomial and
+    the window's stream, calling nothing in mc; a window worker's `advance`
+    lands where the stream is."""
 
     N, SEED = 2 * _BLOCK + 77, 2**128 - 1
 
     def test_fixed_elapsed_at_point_1(self):
-        u = stream(self.SEED, 1, self.N, 2)
         for f in rows_families():
-            hand = hand_counts(f, u, np.full(self.N, 0.45))
+            hand = hand_fixed(f, self.SEED, 1, self.N, 0.45)
             for workers in (1, 2):
                 got = simulate_single(f, [0.2, 0.45], SimConfig(self.N, self.SEED, workers))
                 assert got[1].counts.tolist() == hand, (f.kind, workers)
 
     def test_window(self):
-        u = stream(self.SEED, 0, self.N, 4)
         for g in (TimeDensity("uniform", 1.0), triangle_window()):
-            s = window_elapsed(g, u)
             for f in rows_families():
-                hand = hand_counts(f, u, s)
+                hand = hand_window(f, g, self.SEED, self.N)
                 for workers in (1, 2):
                     got = simulate_window(f, g, SimConfig(self.N, self.SEED, workers))
                     assert got.counts.tolist() == hand, (f.kind, workers)
 
 
+class TestConditionalLaw:
+    def test_fixed_time_counts_fit_the_multinomial(self):
+        # n = 6 replicas over 4,000 seeds: each count vector is one draw of
+        # Multinomial(6, P0 F(t)); a draw that lost the latent's row would
+        # fit Multinomial(6, P0) or another row instead
+        p0 = make_distribution([0.6, 0.2, 0.2])
+        f = make_family("frozen", p0, dt=(2.0, 0.0, 0.0))
+        q = marginal_at(f, 0.5).weights  # (0.36, 0.32, 0.32)
+        comps = [c for c in itertools.product(range(7), repeat=3) if sum(c) == 6]
+        tally = dict.fromkeys(comps, 0)
+        for seed in range(4000):
+            tally[tuple(simulate_single(f, 0.5, SimConfig(6, seed)).counts.tolist())] += 1
+        pmf = [math.factorial(6) * math.prod(q[i] ** c[i] / math.factorial(c[i]) for i in range(3))
+               for c in comps]
+        report = gof_test(EmpiricalDist(np.array(list(tally.values())), 4000),
+                          make_distribution(pmf), alpha=0.001)
+        assert len(comps) == 28 and report.method == "chi2"
+        assert not report.reject, report
+
+    def test_weights_numpy_refuses(self, monkeypatch):
+        # make_distribution admits a sum of 1 + 5e-10 and validation a table
+        # entry of -5e-10, which Generator.multinomial refuses; neither moves
+        # a replica
+        uniform, cfg = TimeDensity("uniform", 1.0), SimConfig(5000, 3)
+        f = make_family("linear", make_distribution([1 + 5e-10, 0.0]), dt=(0.5, 1.0))
+        for e in (simulate_single(f, 0.3, cfg), simulate_window(f, uniform, cfg)):
+            assert e.counts.tolist() == [5000, 0]
+        # outcome 1 has prior 0, and row 0 gives it -5e-10 at s = 0.5
+        p0 = make_distribution([0.5, 0.0, 0.5])
+        values = [[p0.weights] * 3,
+                  [[0.6, -5e-10, 0.4 + 5e-10], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]],
+                  np.eye(3)]
+        table = make_family("table", p0, grid_times=(0.0, 0.5, 1.0), grid_values=values)
+        assert simulate_single(table, 0.5, cfg).counts[1] == 0
+        assert simulate_window(table, uniform, cfg).counts[1] == 0
+        # a window replica at t_A = 0, t_B = 0.5 whose output uniform lies
+        # between the cumulative weights 0.6 - 5e-10 and 0.6 of row 0
+        monkeypatch.setattr(mc, "replica_uniforms",
+                            lambda seed, lo, hi: [np.tile([0.0, 0.5, 0.6 - 2.5e-10], (hi - lo, 1))])
+        e = simulate_window(table, uniform, cfg)
+        assert e.counts[1] == 0 and e.counts.sum() == 5000
+
+
 class TestDrawOracle:
-    """On the same uniforms, the column-by-column draw is that of whole
-    cumulative rows, replica by replica, and its columns are the columns
-    of those rows bit for bit."""
+    """A scalar latent's columns are the columns of its rows bit for bit,
+    and the window reads all of them but the last."""
 
-    def check(self, f, simulate, s_of, seed):
-        n = f.size
-        drawn = []
-        real = mc._draw
-
-        def oracle_draw(u, cum_p0, columns):
-            latent = np.minimum(np.searchsorted(np.cumsum(f.p0.weights), u[:, 0],
-                                                side="right"), n - 1)
-            cum = np.cumsum(f.rows(latent, s_of(u)), axis=1)
-            assert np.array_equal(np.array(list(columns(latent, u))), cum.T), f.kind
-            out = real(u, cum_p0, columns)
-            assert np.array_equal(out, np.minimum((u[:, 1, None] >= cum).sum(1), n - 1)), f.kind
-            drawn.append(len(out))
-            return out
-
-        with mock.patch.object(mc, "_draw", oracle_draw):
-            simulate(SimConfig(2 * _BLOCK + 77, seed))
-        assert sum(drawn) == 2 * _BLOCK + 77
+    def check(self, s):
+        for f in rows_families():
+            for a in range(f.size):
+                rows = f.rows(np.full(s.size, a), s)
+                assert np.array_equal(np.array(list(f.columns(a, s))), rows.T), (f.kind, a)
 
     def test_window(self):
+        u = np.random.default_rng(8).random((2 * _BLOCK + 77, 2))
         for g in (TimeDensity("uniform", 1.0), triangle_window(),
                   TimeDensity("truncexp", 1.0, rate=3.0)):
-            def s_of(u):
-                t_a, t_b = g.sample(u[:, 2]), g.sample(u[:, 3])
-                return np.where(t_b >= t_a, t_b - t_a, math.inf)
-
-            for f in rows_families():
-                self.check(f, lambda cfg: simulate_window(f, g, cfg), s_of, 8)
+            t_a, t_b = g.sample(u[:, 0]), g.sample(u[:, 1])
+            self.check(np.where(t_b >= t_a, t_b - t_a, math.inf))
 
     def test_fixed_elapsed(self):
         for s in (0.0, 0.2, 0.45, math.inf):
-            for f in rows_families():
-                self.check(f, lambda cfg: simulate_single(f, s, cfg),
-                           lambda u: np.full(len(u), s), 9)
+            self.check(np.full(100, s))
 
-    def test_last_column_never_read(self):
+    def test_last_column_never_read(self, monkeypatch):
         # for nondecreasing columns the last one cannot change a draw
-        def columns():
-            yield np.full(4, 0.25)
-            yield np.full(4, 0.5)
+        columns = CollapseFamily.columns
+
+        def all_but_last(self, latent, s):
+            yield from itertools.islice(columns(self, latent, s), self.size - 1)
             raise AssertionError("the last column was read")
 
-        x = np.array([0.1, 0.3, 0.6, 0.9])
-        assert mc._count(x, columns(), 3).tolist() == [0, 1, 2, 2]
+        families = rows_families()
+        monkeypatch.setattr(CollapseFamily, "columns", all_but_last)
+        for f in families:
+            e = simulate_window(f, triangle_window(), SimConfig(2 * _BLOCK + 77, 9))
+            assert e.counts.sum() == 2 * _BLOCK + 77
 
 
 class TestGridPoints:
-    """simulate_single at a 1-D array of times: time i is point i, replicas
-    [0, n) of point i's PCG64DXSM stream, two uniforms each."""
+    """simulate_single at a 1-D array of times: time i is point i, drawn
+    from point i's PCG64DXSM stream."""
 
     GRID = [0.0, 0.2, 0.45, math.inf]
 
@@ -313,12 +348,7 @@ class TestGridPoints:
             got = simulate_single(f, self.GRID, SimConfig(n, seed))
             assert len(got) == len(self.GRID)
             for i, (t, e) in enumerate(zip(self.GRID, got)):
-                u = np.vstack([b.copy() for b in replica_uniforms(seed, 0, n, point=i, width=2)])
-                latent = np.minimum(np.searchsorted(np.cumsum(f.p0.weights), u[:, 0],
-                                                    side="right"), f.size - 1)
-                cum = np.cumsum(f.profile(t), axis=1)[latent]
-                out = np.minimum((u[:, 1, None] >= cum).sum(1), f.size - 1)
-                assert e.counts.tolist() == np.bincount(out, minlength=f.size).tolist(), f.kind
+                assert e.counts.tolist() == hand_fixed(f, seed, i, n, t), f.kind
 
     def test_workers(self):
         n = 2 * _BLOCK + 5
@@ -345,9 +375,9 @@ class TestSimulateSingle:
         # first index whose cumulative weight exceeds u, never outcome 0
         p = make_distribution([0.0, 0.5, 0.5])
         fam = make_family("linear", p, dt=(0.2, 0.4, 0.6))
-        monkeypatch.setattr(mc, "replica_uniforms",
-                            lambda seed, lo, hi, *, width, point: [np.zeros((hi - lo, width))])
-        e = simulate_single(fam, 1.0, SimConfig(10, 0))
+        assert simulate_single(fam, 1.0, SimConfig(10, 0)).counts[0] == 0
+        monkeypatch.setattr(mc, "replica_uniforms", lambda seed, lo, hi: [np.zeros((hi - lo, 3))])
+        e = simulate_window(fam, TimeDensity("uniform", 1.0), SimConfig(10, 0))
         assert e.counts[0] == 0 and e.counts.sum() == 10
 
     def test_instantaneous_recovers_prior(self):

@@ -163,13 +163,13 @@ class TestWitnessSweep:
     @pytest.mark.parametrize("bad, error", [(-1.0, TimeBeforeTrigger), (np.nan, InvalidSpec)])
     def test_bad_point_fails_before_simulation(self, monkeypatch, bad, error):
         runs = []
-        kernel = mc._simulate
+        draw = mc._latent_counts
 
         def counting(*args, **kwargs):
             runs.append(None)
-            return kernel(*args, **kwargs)
+            return draw(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "_simulate", counting)
+        monkeypatch.setattr(mc, "_latent_counts", counting)
         witness_sweep(family(), [0.5, 0.7], SimConfig(1000, 1))
         assert len(runs) == 2  # the count sees every Monte Carlo point
         with pytest.raises(error):
