@@ -11,28 +11,34 @@ counts Multinomial(L_a, f_a(s)), whose column sums are Bob's counts:
 two multinomial calls per point, whatever n (conditional multinomial
 sampling; Devroye, Non-Uniform Random Variate Generation, 1986).
 
-The window's elapsed times differ per replica. Its replicas are numbered
-in latent order, and replica j takes uniforms [3j, 3j + 3) of point 0's
-second stream, SeedSequence(seed, spawn_key=(0, 1)): t_A, t_B and the
-output uniform, reached with `advance(3j)`. Results are therefore a pure
-function of (scenario, N, seed), independent of the block size and of
-how replicas are partitioned across workers. SFC64 draws about a tenth
-faster but has no `advance`, so a worker could not jump to its first
-replica without drawing every uniform before it. Philox can jump, but
-draws a uniform at about 2.7 times PCG64DXSM's cost.
+The window's elapsed times differ per replica. Its input times t_A and
+t_B are i.i.d., so either party acts first with probability 1/2,
+whatever |t_B - t_A|, and a Bob-first replica reads its latent. After
+L, point 0's stream draws the Bob-first counts B_a ~ Binomial(L_a, 1/2),
+which go to outcome a with no uniform. The Alice-first replicas are
+numbered in latent order, and replica j takes uniforms [3j, 3j + 3) of
+point 0's second stream, SeedSequence(seed, spawn_key=(0, 1)): t_A, t_B
+and the output uniform, reached with `advance(3j)`. Results are
+therefore a pure function of (scenario, N, seed), independent of the
+block size and of how replicas are partitioned across workers. SFC64
+draws about a tenth faster but has no `advance`, so a worker could not
+jump to its first replica without drawing every uniform before it.
+Philox can jump, but draws a uniform at about 2.7 times PCG64DXSM's
+cost.
 
-The window runs its replicas in blocks of _BLOCK = 2^13. A float column
-of a block then takes 64 KB, under glibc's default 128 KB mmap
-threshold, so each block's temporaries come from the heap; how many
+The window runs its Alice-first replicas in blocks of _BLOCK = 2^13. A
+float column of a block then takes 64 KB, under glibc's default 128 KB
+mmap threshold, so each block's temporaries come from the heap; how many
 pages a run faults in depends on the heap's history (see _BLOCK). Each
 worker draws its run of blocks from one generator into one buffer, and
-cuts each block at the latent boundaries. A piece of latent a compares its output
-uniforms with the cumulative columns of row a (`CollapseFamily.columns`
-at a scalar latent), all but the last, and counts with np.count_nonzero
-those at or above each. Both draws follow one law, that of `_cell_probs`.
-The goodness-of-fit test loads no scipy: the chi-square test takes its
-tail from a closed form over `math`, and the exact multinomial test its
-log-factorials from a table equal to scipy.special.gammaln bit for bit.
+cuts each block at the latent boundaries. A piece of latent a compares
+its output uniforms with the cumulative columns of row a at |t_B - t_A|
+(`CollapseFamily.columns` at a scalar latent), all but the last, and
+counts with np.count_nonzero those at or above each. Both draws follow
+one law, that of `_cell_probs`. The goodness-of-fit test loads no
+scipy: the chi-square test takes its tail from a closed form over
+`math`, and the exact multinomial test its log-factorials from a table
+equal to scipy.special.gammaln bit for bit.
 The thread pool loads at the first multi-worker run, not at import.
 """
 
@@ -71,11 +77,12 @@ _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
 _STIRLING_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
                    0.0833333333333333333333)
 
-# window replicas per block: a float column of a block takes 64 KB, under glibc's
-# default 128 KB mmap threshold, so a block's temporaries come from the heap.
-# Past the trim threshold, twice the largest mapped block freed (the 192 KB
-# uniform buffer), glibc hands them back and faults them in for every block;
-# whether they pass it depends on the process's heap history (see CHANGES.md)
+# Alice-first window replicas per block: a float column of a block takes 64 KB,
+# under glibc's default 128 KB mmap threshold, so a block's temporaries come
+# from the heap. When the heap's free top passes the trim threshold (128 KB,
+# then twice the largest mmapped block freed, such as the 192 KB uniform
+# buffer), glibc hands it back and the next block faults it in again; whether
+# a run passes it depends on the process's heap history (see CHANGES.md)
 _BLOCK = 1 << 13
 
 
@@ -128,7 +135,8 @@ class EmpiricalDist:
 
 
 def replica_uniforms(seed: int, lo: int, hi: int):
-    """The window's uniforms for replicas [lo, hi), _BLOCK replicas at a time.
+    """The window's uniforms for Alice-first replicas [lo, hi), _BLOCK
+    replicas at a time.
 
     Yields views of shape (m, 3) of one buffer, which each block
     overwrites: copy a block to keep it. Replica j takes uniforms
@@ -205,16 +213,25 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
                     cfg: SimConfig) -> EmpiricalDist:
     """Randomized-window experiment with Alice choosing the triggering input.
 
-    Point 0's generator draws the latent counts, and the replicas are
-    numbered in latent order. Replica j's uniforms (`replica_uniforms`)
-    draw the input times t_A and t_B independently from the window
-    density, then its output. If Alice acts first her input fixes the
-    latent and Bob reads its family row at t_B - t_A; if Bob acts first
-    he triggers and reads the latent itself (elapsed time inf). Each
-    worker takes one contiguous run of blocks (`_window_block`).
+    The input times t_A and t_B are i.i.d. with a continuous density, so
+    either party acts first with probability 1/2, whatever |t_B - t_A|. If
+    Bob acts first he triggers and reads the latent itself, which takes no
+    uniform. So point 0's generator draws the latent counts L, then the
+    Bob-first counts B ~ Binomial(L_a, 1/2), which go to outcome a. The
+    Alice-first replicas are numbered in latent order, and replica j's
+    uniforms (`replica_uniforms`) draw t_A and t_B from the window density,
+    then Bob's output from row a at |t_B - t_A|. Each worker takes one
+    contiguous run of blocks (`_window_block`).
     """
-    _, latent = _latent_counts(f.p0, cfg, 0)
-    bounds = np.concatenate([[0], np.cumsum(latent)])
+    gen, latent = _latent_counts(f.p0, cfg, 0)
+    # the first cells of Multinomial(L_a, (1/2, 1/2)) are gen.binomial(latent,
+    # 0.5) draw for draw, through the code that drew L; binomial's own code
+    # added about 0.2 MB to a cold run's peak RSS
+    bob_first = np.array([gen.multinomial(m, (0.5, 0.5))[0] for m in latent])
+    bounds = np.concatenate([[0], np.cumsum(latent - bob_first)])
+    n_alice = int(bounds[-1])
+    if n_alice == 0:  # every replica went Bob-first
+        return EmpiricalDist(bob_first, cfg.n)
 
     def run(lo, hi):
         above = np.zeros(f.size - 1, dtype=np.int64)
@@ -222,28 +239,30 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
             above += _window_block(f, g, u, np.clip(bounds - start, 0, len(u)))
         return above
 
-    blocks = -(-cfg.n // _BLOCK)
+    blocks = -(-n_alice // _BLOCK)
     workers = min(cfg.workers, blocks)
     if workers == 1:
-        above = run(0, cfg.n)
+        above = run(0, n_alice)
     else:
         from concurrent.futures import ThreadPoolExecutor  # deferred: adds 12 modules to each import
-        edges = [min(cfg.n, _BLOCK * (blocks * w // workers)) for w in range(workers + 1)]
+        edges = [min(n_alice, _BLOCK * (blocks * w // workers)) for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             above = sum(pool.map(run, edges[:-1], edges[1:]))
-    # outcome b holds the replicas at or above cumulative column b - 1 but not b
-    return EmpiricalDist(-np.diff(np.concatenate([[cfg.n], above, [0]])), cfg.n)
+    # Alice-first outcome b holds the replicas at or above cumulative column
+    # b - 1 but not b
+    return EmpiricalDist(bob_first - np.diff(np.concatenate([[n_alice], above, [0]])), cfg.n)
 
 
 def _window_block(f: CollapseFamily, g: TimeDensity, u: np.ndarray, cuts) -> np.ndarray:
-    """How many replicas of one window block have an output uniform at or
-    above each of the first k - 1 cumulative columns of their latent's row;
-    replicas cuts[a]:cuts[a + 1] hold latent a. Its temporaries die with
-    it, before the next block is drawn: kept across blocks, they raised the
-    peak RSS of a 20,000-replica run."""
-    t_a, t_b = g.sample(u[:, 0]), g.sample(u[:, 1])
-    elapsed = np.where(t_b >= t_a, t_b - t_a, math.inf)
-    del t_a, t_b  # fewer live temporaries pass the trim threshold less often (_BLOCK)
+    """How many Alice-first replicas of one window block have an output
+    uniform at or above each of the first k - 1 cumulative columns of their
+    latent's row at |t_B - t_A|; replicas cuts[a]:cuts[a + 1] hold latent a.
+    Its temporaries die with it, before the next block is drawn: kept across
+    blocks, they raised the peak RSS of a 20,000-replica run."""
+    # |t_B - t_A| in place: one block-sized temporary fewer
+    elapsed = g.sample(u[:, 1])
+    elapsed -= g.sample(u[:, 0])
+    np.abs(elapsed, out=elapsed)
     out = np.ascontiguousarray(u[:, 2])
     above = np.zeros(f.size - 1, dtype=np.int64)
     for a in np.flatnonzero(cuts[1:] > cuts[:-1]):

@@ -30,7 +30,7 @@ from collapsebox.mc import (
     simulate_twobox,
     simulate_window,
 )
-from collapsebox.scenarios import Schedule, TimeDensity
+from collapsebox.scenarios import Schedule, TimeDensity, window_marginal
 
 P0 = make_distribution([0.3, 0.7])
 
@@ -158,13 +158,13 @@ class TestPinnedCounts:
         "instantaneous": ([4978, 7366, 12355], [5008, 7320, 12371],
                           [4834, 7531, 12334], [4913, 7429, 12357]),
         "linear": ([6572, 9692, 8435], [7154, 9268, 8277],
-                   [5934, 8120, 10645], [6225, 7978, 10496]),
+                   [5874, 8056, 10769], [6138, 7998, 10563]),
         "frozen": ([6474, 2201, 16024], [8933, 5843, 9923],
-                   [6150, 6161, 12388], [6603, 6123, 11973]),
+                   [6053, 6156, 12490], [6516, 6176, 12007]),
         "exponential": ([3250, 7759, 13690], [2832, 7392, 14475],
-                        [3959, 7429, 13311], [4023, 7249, 13427]),
+                        [3979, 7394, 13326], [4003, 7242, 13454]),
         "table": ([4859, 7424, 12416], [5028, 7400, 12271],
-                  [4846, 7529, 12324], [4971, 7482, 12246]),
+                  [4786, 7501, 12412], [4901, 7522, 12276]),
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -186,8 +186,8 @@ class TestPinnedCounts:
                simulate_window(exp, TimeDensity("uniform", 1.0), SimConfig(PIN_N, 107)))
         assert [e.counts.tolist() for e in got] == [
             [959, 1947, 2810, 3356, 3581, 3827, 3927, 4292],
-            [796, 1602, 2282, 2914, 3456, 4102, 4491, 5056],
-            [545, 1192, 1886, 2612, 3411, 4150, 5081, 5822]]
+            [811, 1569, 2272, 2903, 3437, 4061, 4552, 5094],
+            [554, 1179, 1869, 2629, 3467, 4079, 5109, 5813]]
 
     def test_pins_are_hand_draws(self):
         # the three-outcome pins, rebuilt from each seed's streams by hand
@@ -222,15 +222,20 @@ def hand_fixed(f, seed, point, n, s):
 
 def hand_window(f, g, seed, n):
     """The window's counts, drawn by hand from whole cumulative rows: point
-    0's stream draws the latent counts, the replicas are numbered in latent
-    order, and replica j takes uniforms [3j, 3j + 3) of the stream
-    SeedSequence(seed, spawn_key=(0, 1)) for t_A, t_B and its output."""
-    latent = np.repeat(np.arange(f.size), generator(seed, 0).multinomial(n, cell_probs(f.p0.weights)))
-    u = generator(seed, 0, 1).random(3 * n).reshape(n, 3)
+    0's stream draws the latent counts L, then the Bob-first counts
+    Binomial(L_a, 1/2), which read their latent. The Alice-first replicas
+    are numbered in latent order, and replica j takes uniforms [3j, 3j + 3)
+    of the stream SeedSequence(seed, spawn_key=(0, 1)) for t_A, t_B and its
+    output, read from its latent's row at |t_B - t_A|."""
+    gen = generator(seed, 0)
+    latent = gen.multinomial(n, cell_probs(f.p0.weights))
+    bob_first = gen.binomial(latent, 0.5)
+    alice = np.repeat(np.arange(f.size), latent - bob_first)
+    u = generator(seed, 0, 1).random(3 * alice.size).reshape(-1, 3)
     t_a, t_b = g.sample(u[:, 0]), g.sample(u[:, 1])
-    cum = np.cumsum(f.rows(latent, np.where(t_b >= t_a, t_b - t_a, math.inf)), axis=1)
+    cum = np.cumsum(f.rows(alice, np.abs(t_b - t_a)), axis=1)
     out = np.minimum((u[:, 2, None] >= cum).sum(1), f.size - 1)
-    return np.bincount(out, minlength=f.size).tolist()
+    return (bob_first + np.bincount(out, minlength=f.size)).tolist()
 
 
 class TestStreamOracle:
@@ -273,6 +278,26 @@ class TestConditionalLaw:
         report = gof_test(EmpiricalDist(np.array(list(tally.values())), 4000),
                           make_distribution(pmf), alpha=0.001)
         assert len(comps) == 28 and report.method == "chi2"
+        assert not report.reject, report
+
+    @pytest.mark.parametrize("g", [TimeDensity("uniform", 1.0), triangle_window()],
+                             ids=["uniform", "table"])
+    def test_window_counts_fit_the_multinomial(self, g):
+        # n = 4 replicas over 4,000 seeds: each count vector is one draw of
+        # Multinomial(4, window_marginal): each replica reads its latent
+        # with probability 1/2 and its row at |t_B - t_A| otherwise; an
+        # order that is not a fair coin per replica fits another law
+        f = make_family("linear", make_distribution([0.6, 0.2, 0.2]), dt=(1.0, 0.0, 0.0))
+        q = window_marginal(f, g).weights
+        comps = [c for c in itertools.product(range(5), repeat=3) if sum(c) == 4]
+        tally = dict.fromkeys(comps, 0)
+        for seed in range(4000):
+            tally[tuple(simulate_window(f, g, SimConfig(4, seed)).counts.tolist())] += 1
+        pmf = [math.factorial(4) * math.prod(q[i] ** c[i] / math.factorial(c[i]) for i in range(3))
+               for c in comps]
+        report = gof_test(EmpiricalDist(np.array(list(tally.values())), 4000),
+                          make_distribution(pmf), alpha=0.001)
+        assert len(comps) == 15 and report.method == "chi2"
         assert not report.reject, report
 
     def test_weights_numpy_refuses(self, monkeypatch):
@@ -454,6 +479,31 @@ class TestSimulateWindow:
         tv = 0.5 * np.abs(e.freqs - P0.weights).sum()
         se = float(np.sqrt(P0.weights[0] * P0.weights[1] / e.n))
         assert tv >= 5 * se
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_replica(self, workers):
+        # a Bob-first replica draws no uniform: with n = 1 that leaves no
+        # block to run; seeds 0-19 give both orders
+        f, g = make_family("linear", P3, dt=(0.0, 0.3, 1.1)), TimeDensity("uniform", 1.0)
+        bob_first = set()
+        for seed in range(20):
+            gen = generator(seed, 0)
+            bob_first.add(int(gen.binomial(gen.multinomial(1, cell_probs(P3.weights)), 0.5).sum()))
+            e = simulate_window(f, g, SimConfig(1, seed, workers))
+            assert e.counts.sum() == 1
+            assert e.counts.tolist() == hand_window(f, g, seed, 1), seed
+        assert bob_first == {0, 1}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_latent_with_prior_zero(self, workers):
+        # latent 1 has no replica, so no Bob-first count and no block piece
+        f = make_family("linear", make_distribution([0.5, 0.0, 0.5]), dt=(0.4, 0.2, 0.8))
+        g = TimeDensity("truncexp", 1.0, rate=2.0)
+        for n in (1, 2, 5, 2 * _BLOCK + 3):
+            for seed in range(3):
+                e = simulate_window(f, g, SimConfig(n, seed, workers))
+                assert e.counts.sum() == n and e.counts[1] == 0, (n, seed)
+                assert e.counts.tolist() == hand_window(f, g, seed, n), (n, seed)
 
 
 class TestGofTest:

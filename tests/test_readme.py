@@ -6,9 +6,11 @@ import shlex
 
 import pytest
 
+import collapsebox
 from collapsebox.cli import main
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def blocks(lang):
@@ -35,3 +37,10 @@ def test_command_line_example_runs_as_documented(tmp_path, monkeypatch, capsys):
     for command in commands:
         assert main(command[1:]) == 0, command
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_pyproject_version_is_the_package_version():
+    # the CSV provenance line prints __version__; Python 3.10 has no tomllib
+    (version,) = re.findall(r'^version = "([^"]+)"$',
+                            (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert version == collapsebox.__version__
