@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     AlphabetMismatch,
     EmptyAlphabet,
+    MissingDependency,
     NegativeWeight,
     NotNormalized,
     ScenarioTooLarge,
@@ -163,8 +164,12 @@ def is_local(b: BoxBehavior, tol: float = 1e-9) -> LocalityReport:
     convex weights w. A non-member gets a Bell-type certificate
     (h, c0, violation) read from the same solve's dual: h . v <= c0 on every
     vertex, ||h||_1 <= 1, and violation = h . p - c0 equals the residual.
+    Without scipy it raises MissingDependency.
     """
-    from scipy.optimize import linprog  # deferred: adds 0.26 s to each import
+    try:
+        from scipy.optimize import linprog  # deferred: adds 0.26 s to each import
+    except ImportError as e:
+        raise MissingDependency("is_local needs scipy.optimize.linprog: install scipy") from e
 
     nx, ny, na, nb = b.shape
     verts = local_deterministic_vertices(nx, ny, na, nb)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .behaviors import Distribution, make_distribution
-from .collapse import CollapseFamily, make_family, validate_family
+from .collapse import CollapseFamily, make_family, sorted_union, validate_family
 from .errors import CollapseBoxError, EmptyGrid, InvalidSpec
 from .mc import SimConfig, check_level, empirical_rows, gof_test, simulate_twobox, simulate_window
 from .scenarios import Schedule, TimeDensity, bob_marginal, omega, theta, window_marginal
@@ -154,7 +154,7 @@ def parse_time_grid(spec: str | None, family: CollapseFamily):
         grid = np.linspace(0.0, top, 21)
         kinks = family.kink_times
         apart = np.abs(grid[:, None] - kinks).min(axis=1) > 1e-9 * top
-        return np.union1d(grid[apart], kinks)
+        return sorted_union(grid[apart], kinks)
     spec = spec.strip()
     if not spec:
         raise EmptyGrid("empty time grid")

@@ -41,6 +41,19 @@ def check_elapsed(s: float) -> float:
     return s
 
 
+def sorted_union(*arrays) -> np.ndarray:
+    """The sorted distinct values of NaN-free arrays, flattened and joined:
+    np.union1d, or np.unique of one array, bit for bit. It sorts with the same
+    quicksort and keeps each value unequal to its predecessor, so of 0.0 and
+    -0.0 the one that sorts first stays. np.unique itself imports numpy.ma
+    (numpy >= 2.3), which no command needs."""
+    v = np.concatenate(arrays, axis=None)
+    v.sort()
+    keep = np.ones(v.size, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 @dataclass(frozen=True)
 class CollapseFamily:
     """Evaluated collapse family bound to a prior P0."""
@@ -73,7 +86,7 @@ class CollapseFamily:
         knots up to dt_max, which hold every dt_a (beyond it every row is a delta)."""
         if self.kind == "table":
             return self.grid_times[self.grid_times <= self.dt_max]
-        return np.unique(self.dt)
+        return sorted_union(self.dt)
 
     @property
     def check_times(self) -> np.ndarray:
@@ -83,7 +96,7 @@ class CollapseFamily:
         are linear, so each clause is worst at a kink; those of frozen and
         instantaneous families are constant. Exponential rows mix P0 and the
         delta with a weight in [0, 1]."""
-        kinks = np.union1d(0.0, self.kink_times)
+        kinks = sorted_union(0.0, self.kink_times)
         return np.concatenate([kinks, 0.5 * (kinks[1:] + kinks[:-1]), [kinks[-1] + 1.0]])
 
     def profile(self, s: float | np.ndarray) -> np.ndarray:

@@ -31,6 +31,10 @@ class ScenarioTooLarge(CollapseBoxError):
     pass
 
 
+class MissingDependency(CollapseBoxError):
+    """An optional package that one function needs is not installed."""
+
+
 # --- collapse families ---
 
 class InvalidSpec(CollapseBoxError):

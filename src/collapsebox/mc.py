@@ -27,9 +27,8 @@ Philox can jump, but draws a uniform at about 2.7 times PCG64DXSM's
 cost.
 
 The window runs its Alice-first replicas in blocks of _BLOCK = 2^13. A
-float column of a block then takes 64 KB, under glibc's default 128 KB
-mmap threshold, so each block's temporaries come from the heap; how many
-pages a run faults in depends on the heap's history (see _BLOCK). Each
+float column of a block then takes 64 KB, so each block's temporaries
+come from the heap, which keeps them between blocks (see _BLOCK). Each
 worker draws its run of blocks from one generator into one buffer, and
 cuts each block at the latent boundaries. A piece of latent a compares
 its output uniforms with the cumulative columns of row a at |t_B - t_A|
@@ -80,9 +79,9 @@ _STIRLING_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
 # Alice-first window replicas per block: a float column of a block takes 64 KB,
 # under glibc's default 128 KB mmap threshold, so a block's temporaries come
 # from the heap. When the heap's free top passes the trim threshold (128 KB,
-# then twice the largest mmapped block freed, such as the 192 KB uniform
-# buffer), glibc hands it back and the next block faults it in again; whether
-# a run passes it depends on the process's heap history (see CHANGES.md)
+# then twice the largest mmapped block freed), glibc hands it back and the next
+# block faults it in again. A window run of many blocks first frees a 1 MB
+# mmapped block, which lifts that threshold to 2 MB, above what any block holds
 _BLOCK = 1 << 13
 
 
@@ -233,13 +232,20 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
     if n_alice == 0:  # every replica went Bob-first
         return EmpiricalDist(bob_first, cfg.n)
 
+    blocks = -(-n_alice // _BLOCK)
+    if blocks > 8:
+        # lifts glibc's trim threshold to 2 MB (see _BLOCK), so the blocks'
+        # temporaries stay mapped whatever the heap's history; a 4e6-replica
+        # run could fault 24,000 pages. A few blocks refault little, and the
+        # heap kept mapped added 0.35 MB to a 20,000-replica run's peak RSS
+        np.empty(16 * _BLOCK)  # 1 MB, never touched
+
     def run(lo, hi):
         above = np.zeros(f.size - 1, dtype=np.int64)
         for start, u in zip(range(lo, hi, _BLOCK), replica_uniforms(cfg.seed, lo, hi)):
             above += _window_block(f, g, u, np.clip(bounds - start, 0, len(u)))
         return above
 
-    blocks = -(-n_alice // _BLOCK)
     workers = min(cfg.workers, blocks)
     if workers == 1:
         above = run(0, n_alice)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behaviors import Distribution, make_distribution
-from .collapse import CollapseFamily, check_elapsed, marginal_at
+from .collapse import CollapseFamily, check_elapsed, marginal_at, sorted_union
 from .errors import InvalidSpec, NotNormalized
 from .quadrature import integrate
 
@@ -137,7 +137,7 @@ class TimeDensity:
         table. A truncexp density gets 2**k / rate for k = 0..5, so that some
         Gauss node lands where its difference density still has mass."""
         if self.kind == "table":
-            return tuple(np.unique(np.abs(np.subtract.outer(self.grid_times, self.grid_times))))
+            return tuple(sorted_union(np.abs(np.subtract.outer(self.grid_times, self.grid_times))))
         if self.kind == "truncexp":
             return tuple(2.0**k / self.rate for k in range(6))
         return ()

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from collapsebox.behaviors import (
 from collapsebox.errors import (
     AlphabetMismatch,
     EmptyAlphabet,
+    MissingDependency,
     NegativeWeight,
     NotNormalized,
     ScenarioTooLarge,
@@ -244,6 +246,12 @@ class TestLocalPolytope:
         rep = is_local(box())
         assert rep.member == (box is uniform_box)
         assert len(calls) == 1
+
+    def test_without_scipy_names_the_dependency(self, monkeypatch):
+        # a None entry makes the import fail as if scipy were not installed
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        with pytest.raises(MissingDependency, match="scipy"):
+            is_local(uniform_box())
 
     def test_certificate_reconstructs_table(self):
         rng = np.random.default_rng(11)

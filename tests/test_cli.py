@@ -614,16 +614,18 @@ def test_exact_gof_loads_no_scipy(tmp_path):
         "after_import = scipy_modules()\n"
         f"rc = collapsebox.cli.main(['validate', '--scenario', {str(scen)!r}])\n"
         "after_validate = scipy_modules()\n"
+        "masked = 'numpy.ma' in sys.modules\n"
         + setup + chi2 +
         "after_chi2 = scipy_modules()\n"
         + exact +
-        "print(json.dumps([after_import, rc, after_validate, after_chi2, values,\n"
+        "print(json.dumps([after_import, rc, after_validate, masked, after_chi2, values,\n"
         "                  scipy_modules()]))\n"
     )
     eager = "import json, scipy.special\n" + setup + chi2 + exact + "print(json.dumps(values))\n"
 
-    after_import, rc, after_validate, after_chi2, got, after_exact = run_python(lazy)
+    after_import, rc, after_validate, masked, after_chi2, got, after_exact = run_python(lazy)
     assert after_import == [] and rc == 0 and after_validate == []
+    assert not masked  # np.unique would import numpy.ma (numpy >= 2.3)
     assert after_chi2 == [] and after_exact == []
     assert [got[0][0], got[2][0]] == ["chi2", "exact"]
     assert got == run_python(eager)
@@ -632,28 +634,40 @@ def test_exact_gof_loads_no_scipy(tmp_path):
 def test_chi2_path_commands_load_no_scipy(tmp_path):
     # simulate, witness and sweep on a scenario whose every GOF test takes
     # the chi-square path, then simulate on the exact path: a skewed prior at
-    # 24 replicas has expected counts below 5
+    # 24 replicas has expected counts below 5. Then simulate on a uniform and
+    # on a table window with no schedule. No command loads numpy.ma either,
+    # which np.unique imports (numpy >= 2.3)
     scen, skewed, out = tmp_path / "s.json", tmp_path / "skewed.json", tmp_path / "out"
+    uniform, table = tmp_path / "uniform.json", tmp_path / "table.json"
     write_scenario(scen)
     write_scenario(skewed, p0=[0.7, 0.2, 0.07, 0.03], window=None,
                    family={"kind": "linear", "dt": [0.2, 0.4, 0.6, 0.8]})
+    write_scenario(uniform, schedule=None)
+    write_scenario(table, schedule=None, p0=[0.4, 0.6],
+                   family={"kind": "linear", "dt": [0.3, 0.8]},
+                   window={"dt_window": 1.0, "g": {"kind": "table", "times": [0.0, 0.5, 1.0],
+                                                   "values": [0.5, 1.5, 0.5]}})
     common = ["--scenario", str(scen), "--out", str(out), "--n", "2000"]
     commands = [["simulate", *common], ["witness", *common],
                 ["sweep", *common, "--grid", "dt=0.5,1.0;dt_window=1.0,2.0"],
-                ["simulate", "--scenario", str(skewed), "--out", str(out), "--n", "24"]]
+                ["simulate", "--scenario", str(skewed), "--out", str(out), "--n", "24"],
+                ["simulate", "--scenario", str(uniform), "--out", str(out), "--n", "2000"],
+                ["simulate", "--scenario", str(table), "--out", str(out), "--n", "2000"]]
     code = (
         "import contextlib, io, json, sys\n" + SCIPY_MODULES +
         "import collapsebox.cli\n"
-        "rcs, stdouts = [], []\n"
+        "rcs, stdouts, masked = [], [], []\n"
         f"for argv in {commands!r}:\n"
         "    stdouts.append(io.StringIO())\n"
         "    with contextlib.redirect_stdout(stdouts[-1]):\n"
         "        rcs.append(collapsebox.cli.main(argv))\n"
-        "print(json.dumps([rcs, [s.getvalue() for s in stdouts], scipy_modules()]))\n"
+        "    masked.append('numpy.ma' in sys.modules)\n"
+        "print(json.dumps([rcs, [s.getvalue() for s in stdouts], masked, scipy_modules()]))\n"
     )
-    rcs, stdouts, modules = run_python(code)
-    assert rcs == [0, 0, 0, 0]
+    rcs, stdouts, masked, modules = run_python(code)
+    assert rcs == [0] * 6
     chi2 = "".join(stdouts[:3])
     assert "[chi2]" in chi2 and "[exact]" not in chi2
     assert "[exact]" in stdouts[3]
+    assert masked == [False] * 6
     assert modules == []

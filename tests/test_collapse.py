@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsebox.behaviors import make_distribution, tv_distance
-from collapsebox.cli import family_from_dict
+from collapsebox.cli import family_from_dict, parse_time_grid
 from collapsebox.collapse import (
     KINDS,
     make_family,
     marginal_at,
+    sorted_union,
     validate_family,
 )
 from collapsebox.errors import (
@@ -20,7 +21,7 @@ from collapsebox.errors import (
     TimeBeforeTrigger,
 )
 from collapsebox.mc import SimConfig, simulate_single
-from collapsebox.scenarios import bob_marginal
+from collapsebox.scenarios import TimeDensity, bob_marginal
 
 P0 = make_distribution([0.3, 0.7])
 
@@ -409,3 +410,56 @@ class TestFamilySerialization:
     def test_missing_kind_named(self):
         with pytest.raises(InvalidSpec, match="'kind'"):
             family_from_dict({"dt": [0.0, 1.0]}, P0)
+
+
+# values that tie: both zeros and both signs of the smallest subnormal, so
+# which member of a tie survives the sort shows in tobytes()
+TIES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, 1.0)
+float_arrays = st.lists(st.sampled_from(TIES) | st.floats(allow_nan=False),
+                        max_size=12).map(lambda v: np.array(v, dtype=float))
+
+
+class TestSortedUnion:
+    @settings(max_examples=300, deadline=None)
+    @given(float_arrays, float_arrays)
+    def test_equals_numpy_bit_for_bit(self, a, b):
+        assert sorted_union(a).tobytes() == np.unique(a).tobytes()
+        assert sorted_union(a.reshape(-1, 1)).tobytes() == np.unique(a).tobytes()
+        assert sorted_union(a, b).tobytes() == np.union1d(a, b).tobytes()
+        assert sorted_union(0.0, a).tobytes() == np.union1d(0.0, a).tobytes()
+        assert sorted_union(a).dtype == np.float64
+
+    def test_family_times_equal_numpy_forms(self):
+        # kink_times, check_times and the default time grid of one family of
+        # each kind, against the np.unique and np.union1d forms they replace
+        p3 = TestRows.P3
+        table = [[[0.2, 0.3, 0.5]] * 3,
+                 [[0.6, 0.15, 0.25], [0.1, 0.65, 0.25], [0.1, 0.15, 0.75]],
+                 np.eye(3).tolist()]
+        families = [
+            make_family("instantaneous", p3),
+            make_family("linear", p3, dt=(-0.0, 0.3, 0.3)),
+            make_family("exponential", p3, rates=(2.0, 7.0, 2.0)),
+            make_family("frozen", p3, dt=(0.7, 0.0, 0.7)),
+            make_family("table", p3, grid_times=(0.0, 0.5, 1.0), grid_values=table),
+        ]
+        assert [f.kind for f in families] == list(KINDS)
+        for f in families:
+            kinks = f.kink_times
+            if f.kind != "table":
+                assert kinks.tobytes() == np.unique(f.dt).tobytes(), f.kind
+            old = np.union1d(0.0, kinks)
+            old = np.concatenate([old, 0.5 * (old[1:] + old[:-1]), [old[-1] + 1.0]])
+            assert f.check_times.tobytes() == old.tobytes(), f.kind
+            top = f.dt_max if f.dt_max > 0 else 1.0
+            grid = np.linspace(0.0, top, 21)
+            apart = np.abs(grid[:, None] - kinks).min(axis=1) > 1e-9 * top
+            old = np.union1d(grid[apart], kinks)
+            assert parse_time_grid(None, f).tobytes() == old.tobytes(), f.kind
+
+    def test_table_breakpoints_equal_numpy_form(self):
+        t = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+        v = np.array([0.4, 1.4, 0.8, 1.5, 0.6])
+        g = TimeDensity("table", 1.0, grid_times=t, grid_values=v / np.trapezoid(v, t))
+        old = np.unique(np.abs(np.subtract.outer(t, t)))
+        assert np.array(g.breakpoints()).tobytes() == old.tobytes()
