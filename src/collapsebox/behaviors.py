@@ -169,7 +169,8 @@ def is_local(b: BoxBehavior, tol: float = 1e-9) -> LocalityReport:
     try:
         from scipy.optimize import linprog  # deferred: adds 0.26 s to each import
     except ImportError as e:
-        raise MissingDependency("is_local needs scipy.optimize.linprog: install scipy") from e
+        raise MissingDependency("is_local needs scipy.optimize.linprog: "
+                                "install collapse-box[polytope]") from e
 
     nx, ny, na, nb = b.shape
     verts = local_deterministic_vertices(nx, ny, na, nb)

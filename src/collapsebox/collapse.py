@@ -208,6 +208,8 @@ def make_family(kind: str, p0: Distribution, *, dt=None, rates=None,
             raise InvalidSpec(
                 f"grid_values shape {values.shape} != {(times.size, n, n)}"
             )
+        if not np.all(np.isfinite(values)):
+            raise InvalidSpec("grid_values must be finite")
         dt = _table_collapse_times(times, values, n)
         fam = CollapseFamily("table", p0, dt, grid_times=times, grid_values=values)
 

@@ -26,12 +26,12 @@ jump to its first replica without drawing every uniform before it.
 Philox can jump, but draws a uniform at about 2.7 times PCG64DXSM's
 cost.
 
-The window runs its Alice-first replicas in blocks of _BLOCK = 2^13. A
-float column of a block then takes 64 KB, so each block's temporaries
-come from the heap, which keeps them between blocks (see _BLOCK). Each
-worker draws its run of blocks from one generator into one buffer, and
-cuts each block at the latent boundaries. A piece of latent a compares
-its output uniforms with the cumulative columns of row a at |t_B - t_A|
+The window works one latent at a time: latent a's Alice-first replicas
+are one contiguous range of the numbering, so a worker takes whole
+latents and no block spans two. It draws a latent's range from one
+generator into one buffer, in blocks of _BLOCK = 2^13 whose 64 KB float
+columns come from the heap (see _BLOCK). A block compares its output
+uniforms with the cumulative columns of row a at |t_B - t_A|
 (`CollapseFamily.columns` at a scalar latent), all but the last, and
 counts with np.count_nonzero those at or above each. Both draws follow
 one law, that of `_cell_probs`. The goodness-of-fit test loads no
@@ -219,66 +219,56 @@ def simulate_window(f: CollapseFamily, g: TimeDensity,
     Bob-first counts B ~ Binomial(L_a, 1/2), which go to outcome a. The
     Alice-first replicas are numbered in latent order, and replica j's
     uniforms (`replica_uniforms`) draw t_A and t_B from the window density,
-    then Bob's output from row a at |t_B - t_A|. Each worker takes one
-    contiguous run of blocks (`_window_block`).
+    then Bob's output from row a at |t_B - t_A|. Each worker takes whole
+    latents, so no block (`_window_block`) spans two.
     """
     gen, latent = _latent_counts(f.p0, cfg, 0)
     # the first cells of Multinomial(L_a, (1/2, 1/2)) are gen.binomial(latent,
     # 0.5) draw for draw, through the code that drew L; binomial's own code
     # added about 0.2 MB to a cold run's peak RSS
     bob_first = np.array([gen.multinomial(m, (0.5, 0.5))[0] for m in latent])
-    bounds = np.concatenate([[0], np.cumsum(latent - bob_first)])
-    n_alice = int(bounds[-1])
-    if n_alice == 0:  # every replica went Bob-first
-        return EmpiricalDist(bob_first, cfg.n)
-
-    blocks = -(-n_alice // _BLOCK)
-    if blocks > 8:
+    # Python ints: advance(3 * lo) on a numpy int64 overflows past 3.07e18
+    bounds = [0, *itertools.accumulate(int(m) for m in latent - bob_first)]
+    if bounds[-1] > 8 * _BLOCK:
         # lifts glibc's trim threshold to 2 MB (see _BLOCK), so the blocks'
         # temporaries stay mapped whatever the heap's history; a 4e6-replica
         # run could fault 24,000 pages. A few blocks refault little, and the
         # heap kept mapped added 0.35 MB to a 20,000-replica run's peak RSS
         np.empty(16 * _BLOCK)  # 1 MB, never touched
 
-    def run(lo, hi):
-        above = np.zeros(f.size - 1, dtype=np.int64)
-        for start, u in zip(range(lo, hi, _BLOCK), replica_uniforms(cfg.seed, lo, hi)):
-            above += _window_block(f, g, u, np.clip(bounds - start, 0, len(u)))
-        return above
+    def run(a):  # latent a's range holds at least one block
+        return sum(_window_block(f, g, u, a)
+                   for u in replica_uniforms(cfg.seed, bounds[a], bounds[a + 1]))
 
-    workers = min(cfg.workers, blocks)
-    if workers == 1:
-        above = run(0, n_alice)
+    todo = [a for a in range(f.size) if bounds[a + 1] > bounds[a]]
+    workers = min(cfg.workers, len(todo))
+    above = np.zeros(f.size - 1, dtype=np.int64)
+    if workers <= 1:
+        above = sum(map(run, todo), above)
     else:
         from concurrent.futures import ThreadPoolExecutor  # deferred: adds 12 modules to each import
-        edges = [min(n_alice, _BLOCK * (blocks * w // workers)) for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            above = sum(pool.map(run, edges[:-1], edges[1:]))
+            above = sum(pool.map(run, todo), above)
     # Alice-first outcome b holds the replicas at or above cumulative column
     # b - 1 but not b
-    return EmpiricalDist(bob_first - np.diff(np.concatenate([[n_alice], above, [0]])), cfg.n)
+    return EmpiricalDist(bob_first - np.diff(np.concatenate([[bounds[-1]], above, [0]])), cfg.n)
 
 
-def _window_block(f: CollapseFamily, g: TimeDensity, u: np.ndarray, cuts) -> np.ndarray:
-    """How many Alice-first replicas of one window block have an output
-    uniform at or above each of the first k - 1 cumulative columns of their
-    latent's row at |t_B - t_A|; replicas cuts[a]:cuts[a + 1] hold latent a.
-    Its temporaries die with it, before the next block is drawn: kept across
-    blocks, they raised the peak RSS of a 20,000-replica run."""
+def _window_block(f: CollapseFamily, g: TimeDensity, u: np.ndarray, a: int) -> np.ndarray:
+    """How many of latent a's Alice-first replicas in block u have an output
+    uniform at or above each of the first k - 1 cumulative columns of row a
+    at |t_B - t_A|. Its temporaries die with it, before the next block is
+    drawn: kept across blocks, they raised a 20,000-replica run's peak RSS."""
     # |t_B - t_A| in place: one block-sized temporary fewer
     elapsed = g.sample(u[:, 1])
     elapsed -= g.sample(u[:, 0])
     np.abs(elapsed, out=elapsed)
     out = np.ascontiguousarray(u[:, 2])
-    above = np.zeros(f.size - 1, dtype=np.int64)
-    for a in np.flatnonzero(cuts[1:] > cuts[:-1]):
-        piece = slice(cuts[a], cuts[a + 1])
-        columns = f.columns(a, elapsed[piece])
-        if f.kind == "table":  # a validated table may hold entries down to -1e-9
-            columns = (np.maximum(c, 0.0) for c in columns)
-        for i, cum in enumerate(itertools.accumulate(itertools.islice(columns, f.size - 1))):
-            above[i] += np.count_nonzero(out[piece] >= cum)
-    return above
+    columns = f.columns(a, elapsed)
+    if f.kind == "table":  # a validated table may hold entries down to -1e-9
+        columns = (np.maximum(c, 0.0) for c in columns)
+    cums = itertools.accumulate(itertools.islice(columns, f.size - 1))
+    return np.array([np.count_nonzero(out >= cum) for cum in cums], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ class TestLocalPolytope:
     def test_without_scipy_names_the_dependency(self, monkeypatch):
         # a None entry makes the import fail as if scipy were not installed
         monkeypatch.setitem(sys.modules, "scipy.optimize", None)
-        with pytest.raises(MissingDependency, match="scipy"):
+        with pytest.raises(MissingDependency, match=r"scipy.*collapse-box\[polytope\]"):
             is_local(uniform_box())
 
     def test_certificate_reconstructs_table(self):

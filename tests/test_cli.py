@@ -34,6 +34,10 @@ def write_scenario(path, **overrides):
     return scen
 
 
+NAN_TABLE = {"kind": "table", "grid": {"times": [0.0, 1.0], "values": [
+    [[0.3, 0.7], [0.3, 0.7]], [[float("nan"), 0.0], [0.0, 1.0]]]}}
+
+
 def data_section(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# scenario=")
@@ -427,6 +431,9 @@ class TestMalformedInput:
         (["simulate"], {"window": {"dt_window": 1.0, "g": {"kind": "table", "times": [0.0, 0.5],
                                                           "values": [2.0, 2.0]}},
                         "schedule": None}, "must span [0, width]"),
+        # a NaN value is named, not reported as boundary clause 'initial'
+        (["validate"], {"family": NAN_TABLE}, "grid_values must be finite"),
+        (["witness"], {"family": NAN_TABLE}, "grid_values must be finite"),
     ], ids=["grid-count", "grid-parts", "grid-list", "sweep-float", "sweep-int",
             "no-p0", "no-kind", "alpha-nan", "alpha-above-1", "alpha-zero",
             "schedule-tB", "schedule-x", "schedule-x-float",
@@ -439,7 +446,8 @@ class TestMalformedInput:
             "sweep-axis-twice", "sweep-window-zero", "sweep-window-negative",
             "sweep-dt-negative", "sweep-dt-negative-second-cell", "sweep-window-rate-limit",
             "grid-range-negative-count", "table-no-grid", "table-times-not-from-0",
-            "table-values-shape", "density-table-span"])
+            "table-values-shape", "density-table-span", "table-values-nan-validate",
+            "table-values-nan-witness"])
     def test_named_error_exit_1(self, tmp_path, capsys, argv, overrides, named):
         scen = tmp_path / "s.json"
         write_scenario(scen, **overrides)

@@ -80,6 +80,10 @@ class TestMakeFamily:
         with pytest.raises(InvalidSpec):
             make_family("table", P0, grid_times=(0.0, bad),
                         grid_values=[[[0.3, 0.7]] * 2, [[1, 0], [0, 1]]])
+        # a non-finite value is named, not reported as a boundary clause
+        with pytest.raises(InvalidSpec, match="grid_values must be finite"):
+            make_family("table", P0, grid_times=(0.0, 1.0),
+                        grid_values=[[[0.3, 0.7]] * 2, [[bad, 0], [0, 1]]], validate=False)
 
     def test_table_family(self):
         # hold-then-jump expressed as a grid: prior rows, then deltas

@@ -64,7 +64,8 @@ class TestDeterminism:
         assert np.array_equal(r1.counts, r8.counts)
 
     def test_worker_invariance_across_blocks(self):
-        # more replicas than one block: workers share several blocks
+        # more replicas than one block: each worker takes whole latents,
+        # and no block spans two
         n = 2 * _BLOCK + 1_001
         w = TimeDensity("uniform", 1.0)
         s = asym_family()
@@ -496,7 +497,7 @@ class TestSimulateWindow:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_latent_with_prior_zero(self, workers):
-        # latent 1 has no replica, so no Bob-first count and no block piece
+        # latent 1 has no replica, so no Bob-first count and no block
         f = make_family("linear", make_distribution([0.5, 0.0, 0.5]), dt=(0.4, 0.2, 0.8))
         g = TimeDensity("truncexp", 1.0, rate=2.0)
         for n in (1, 2, 5, 2 * _BLOCK + 3):
@@ -504,6 +505,54 @@ class TestSimulateWindow:
                 e = simulate_window(f, g, SimConfig(n, seed, workers))
                 assert e.counts.sum() == n and e.counts[1] == 0, (n, seed)
                 assert e.counts.tolist() == hand_window(f, g, seed, n), (n, seed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [2 * _BLOCK + 77, 6 * _BLOCK])
+    def test_no_block_spans_a_latent(self, monkeypatch, n, workers):
+        # each block holds one latent's replicas, and latent a's blocks
+        # together hold its L_a - B_a Alice-first replicas. Blocks of the
+        # whole Alice-first range would put latents 0 and 2 in one block;
+        # at 6 * _BLOCK each latent takes two blocks
+        f = make_family("linear", make_distribution([0.5, 0.0, 0.5]), dt=(0.4, 0.2, 0.8))
+        g, seed = TimeDensity("uniform", 1.0), 6
+        ref = simulate_window(f, g, SimConfig(n, seed, workers)).counts
+        window_block = mc._window_block
+        rows, calls = np.zeros(f.size, dtype=np.int64), np.zeros(f.size, dtype=np.int64)
+
+        def recorder(f, g, u, a):
+            assert np.ndim(a) == 0 and 1 <= len(u) <= _BLOCK
+            rows[a] += len(u)
+            calls[a] += 1
+            return window_block(f, g, u, a)
+
+        monkeypatch.setattr(mc, "_window_block", recorder)
+        e = simulate_window(f, g, SimConfig(n, seed, workers))
+        gen = generator(seed, 0)
+        latent = gen.multinomial(n, cell_probs(f.p0.weights))
+        assert rows.tolist() == (latent - gen.binomial(latent, 0.5)).tolist()
+        assert rows[1] == 0 and calls.tolist() == (-(-rows // _BLOCK)).tolist()
+        assert e.counts.tolist() == ref.tolist()
+
+
+class TestWilsonCoverage:
+    def test_per_cell_coverage_is_95_percent(self):
+        # each cell of empirical.csv carries a 95% Wilson interval: over
+        # 1,000 seeds at n = 1,000 each cell covers its analytic value in
+        # 95% of runs, within 3 binomial SE (0.0207), at fixed times and in
+        # the window. At n = 100 one cell read 0.925, so n stays at 1,000
+        f = make_family("linear", P3, dt=(0.25, 0.5, 1.0))
+        g = TimeDensity("uniform", 1.0)
+        analytic = np.array([marginal_at(f, 0.25).weights, marginal_at(f, 0.5).weights,
+                             window_marginal(f, g).weights])
+        seeds, covered = 1000, np.zeros((3, f.size))
+        for seed in range(seeds):
+            cfg = SimConfig(1000, seed)
+            for i, e in enumerate([*simulate_single(f, [0.25, 0.5], cfg),
+                                   simulate_window(f, g, cfg)]):
+                lo, hi = e.wilson_interval()
+                covered[i] += (lo <= analytic[i]) & (analytic[i] <= hi)
+        se = math.sqrt(0.95 * 0.05 / seeds)
+        assert np.all(np.abs(covered / seeds - 0.95) <= 3 * se), covered / seeds
 
 
 class TestGofTest:
